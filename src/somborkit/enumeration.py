@@ -14,10 +14,18 @@ Canonical form
 Generation
     Graphs with m edges are produced by adding one edge to every
     canonical representative with m-1 edges and deduplicating by
-    canonical form (every graph contains an (m-1)-edge subgraph, so the
-    level-by-level closure is exhaustive).  Levels are cached per (n, m)
-    and returned in ascending canonical order, which makes every
-    downstream artifact deterministic regardless of worker count.
+    canonical form.  A child is canonicalized only if its new edge uv
+    has the largest endpoint-degree sum d(u) + d(v) among the child's
+    edges (ties pass).  This misses no class: the sum is an isomorphism
+    invariant, so deleting a largest-sum edge from any m-edge graph
+    leaves a graph isomorphic to some (m-1)-edge representative, and
+    adding the matching edge back to that representative gives a child
+    that passes.  Deduplication stays global, so correctness needs no
+    orbit argument.  Above the middle level (2m > C(n,2)) a level is the
+    canonical forms of the complements of level C(n,2) - m, so only the
+    lower half is grown edge by edge.  Levels are cached per (n, m) and
+    returned in ascending canonical order, which makes every downstream
+    artifact deterministic regardless of worker count.
 
 Scope caps: n <= 8 for arbitrary m; n = 9 only for m <= 10 (cyclomatic
 number at most 2 on the connected universe).
@@ -154,18 +162,41 @@ def _check_scope(n: int, m: int) -> None:
 
 
 def _children_of_chunk(args: tuple[int, list[tuple[int, ...]]]) -> set[tuple[int, ...]]:
-    """All canonical keys obtainable by adding one edge to any parent key."""
+    """Canonical keys of the children of the parent keys whose new edge uv
+    has the largest endpoint-degree sum in the child.
+
+    Every other child edge keeps its parent sum or gains 1 (it can share
+    at most one endpoint with uv), so with t = d(u) + d(v) + 2 in the
+    child and M the largest parent sum, uv is a largest-sum edge iff
+    t > M, or t == M and no parent edge of sum M touches u or v.  Each
+    isomorphism class has such an edge, so the filter loses no class.
+    """
     n, chunk = args
     out: set[tuple[int, ...]] = set()
     for bits in chunk:
         rows = _rows_from_bits(n, bits)
+        deg = [r.bit_count() for r in rows]
+        top = -1
+        hot = 0  # endpoints of the edges of sum top
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rows[x] >> y & 1:
+                    s = deg[x] + deg[y]
+                    if s > top:
+                        top, hot = s, 0
+                    if s == top:
+                        hot |= 1 << x | 1 << y
         for u in range(n):
             for v in range(u + 1, n):
-                if not rows[u] >> v & 1:
-                    grown = list(rows)
-                    grown[u] |= 1 << v
-                    grown[v] |= 1 << u
-                    out.add(_canonical_bits(n, tuple(grown)))
+                if rows[u] >> v & 1:
+                    continue
+                t = deg[u] + deg[v] + 2
+                if t < top or (t == top and hot & (1 << u | 1 << v)):
+                    continue
+                grown = list(rows)
+                grown[u] |= 1 << v
+                grown[v] |= 1 << u
+                out.add(_canonical_bits(n, tuple(grown)))
     return out
 
 
@@ -174,13 +205,21 @@ _level_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
     """Sorted canonical keys of all isomorphism classes with n vertices,
-    m edges."""
+    m edges.  Levels above the middle are complements of lower ones."""
     key = (n, m)
     cached = _level_cache.get(key)
     if cached is not None:
         return cached
+    slots = n * (n - 1) // 2
     if m == 0:
         result: tuple[tuple[int, ...], ...] = ((0,) * max(n - 1, 0),)
+    elif 2 * m > slots:
+        full = (1 << n) - 1
+        complements = (
+            tuple(full ^ r ^ 1 << v for v, r in enumerate(_rows_from_bits(n, bits)))
+            for bits in _level(n, slots - m, workers)
+        )
+        result = tuple(sorted(_canonical_bits(n, rows) for rows in complements))
     else:
         parents = list(_level(n, m - 1, workers))
         if workers > 1 and len(parents) > 4 * workers:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 from math import factorial
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from somborkit import enumeration
+from somborkit.cli import main
 from somborkit.enumeration import (
     AmbiguousMaximumError,
     CanonicalForm,
@@ -120,11 +123,12 @@ def test_orbit_counting_identity(n):
         assert connected_total == labeled_connected_count(n, m), (n, m)
 
 
-@pytest.mark.parametrize("m", [7, 13])
+@pytest.mark.parametrize("m", [7, 13, 15, 21])
 def test_orbit_counting_identity_n8(m):
     """Same identity at the lightest and heaviest 8-vertex levels the
-    extremal sweep depends on.  The connected count at m = 7 doubles as a
-    check of the recurrence oracle itself: it must equal Cayley's 8^6."""
+    extremal sweep depends on, and at two levels built from complements.
+    The connected count at m = 7 doubles as a check of the recurrence
+    oracle itself: it must equal Cayley's 8^6."""
     classes = all_graphs(8, m)
     nfact = factorial(8)
     assert sum(nfact // aut_count(g) for g in classes) == labeled_graph_count(8, m)
@@ -132,6 +136,50 @@ def test_orbit_counting_identity_n8(m):
     assert connected_total == labeled_connected_count(8, m)
     if m == 7:
         assert connected_total == 8**6
+
+
+def test_generation_prunes_canonical_calls(monkeypatch):
+    """The max-degree-sum filter and the complement rule keep the full
+    n = 8 sweep far below the 172,844 canonicalizations of growing every
+    one-edge extension, and an upper level builds only its complement's
+    chain."""
+    enumeration._level_cache.clear()
+    all_graphs(8, 27)
+    assert set(enumeration._level_cache) == {(8, 0), (8, 1), (8, 27)}
+
+    calls = 0
+    canonical_bits = enumeration._canonical_bits
+
+    def counted(n, rows):
+        nonlocal calls
+        calls += 1
+        return canonical_bits(n, rows)
+
+    monkeypatch.setattr(enumeration, "_canonical_bits", counted)
+    enumeration._level_cache.clear()
+    for m in range(29):
+        all_graphs(8, m)
+    assert calls < 30_000
+
+
+# OEIS A008406, row 8: graphs on 8 unlabeled vertices by edge count
+A008406_ROW_8 = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646]
+A008406_ROW_8 += A008406_ROW_8[-2::-1]
+
+
+def test_class_counts_n8_match_oeis():
+    assert [len(all_graphs(8, m)) for m in range(29)] == A008406_ROW_8
+
+
+def test_enumerate_n8_golden_output(capsys):
+    """The full n = 8 universe as graph6 lines is fixed byte for byte."""
+    assert main(["enumerate", "--n", "8", "--universe", "all"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == sum(A008406_ROW_8)
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "708124448e3a9d661789e4a0d627160acd843c496fb58d285e3a3aeb3a26a4ee"
+    )
 
 
 @given(st.data())
@@ -151,8 +199,6 @@ def test_deterministic_order_and_workers():
     base = [canonical_form(g) for g in all_graphs(6, 7)]
     assert base == sorted(base)
     # a fresh worker pool must reproduce the exact same level
-    from somborkit import enumeration
-
     enumeration._level_cache.clear()
     with_workers = [canonical_form(g) for g in all_graphs(6, 7, workers=2)]
     assert with_workers == base
