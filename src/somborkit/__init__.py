@@ -9,6 +9,7 @@ forms (``families``), the majorization/Karamata oracle
 
 from .bounds import (
     BoundReport,
+    GraphRecord,
     SuiteSummary,
     check_degree_sum_bound,
     check_epsilon_identities,

@@ -1,5 +1,16 @@
 """Checks for every proven bound and identity, on arbitrary graphs.
 
+Every bound here depends only on n, m, the component count and the
+histogram of endpoint-degree pairs.  So each graph is profiled once: a
+``GraphRecord`` holds its ``EdgeStats`` (one pass over the edges), its
+graph6 text (encoded once) and the four index values, each evaluated
+from the profile at most once and only if a selected bound reads it.
+Every check reads that record; ``run_suite`` builds one per graph and
+passes it to every selected group, and the public ``check_*`` functions
+also accept a plain ``Graph`` and build the record themselves.  Index
+values are ``math.fsum`` sums over the histogram, so a report does not
+depend on how the graph's vertices are labeled.
+
 Each check produces a BoundReport.  Slack is oriented so that
 ``slack >= -tolerance`` is the uniform holds-test: rhs - lhs for upper
 bounds, lhs - rhs for lower bounds.  Equality detection is two-stage:
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .families import (
@@ -29,7 +41,7 @@ from .families import (
     is_path_graph,
     is_star_plus_isolated,
 )
-from .graphs import Graph, component_count, edge_stats, encode_graph6, is_connected
+from .graphs import Graph, edge_stats, encode_graph6, is_connected
 from .indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
 EQUALITY_TOL = 1e-9
@@ -37,6 +49,40 @@ STRICT_MARGIN = 1e-9
 
 SO_LOWER_COEFF = (2 * math.sqrt(2) - math.sqrt(5)) / 3
 SO_RED_LOWER_COEFF = math.sqrt(2) - 1
+
+
+class GraphRecord:
+    """What every bound reads about one graph, computed once.
+
+    The index values are computed on first use, so a bound selection that
+    reads none of them (or an order-0 graph, on which they are undefined)
+    never evaluates them.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.stats = edge_stats(g)
+        self.graph6 = encode_graph6(g)
+
+    @cached_property
+    def so(self) -> float:
+        return sombor(self.stats)
+
+    @cached_property
+    def so_red(self) -> float:
+        return reduced_sombor(self.stats)
+
+    @cached_property
+    def so_shifted(self) -> float:
+        return sombor_shifted(self.stats)
+
+    @cached_property
+    def m1(self) -> int:
+        return first_zagreb(self.stats)
+
+
+def _record(g: Graph | GraphRecord) -> GraphRecord:
+    return g if isinstance(g, GraphRecord) else GraphRecord(g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +115,7 @@ class BoundReport:
 
 def _report(
     bound_id: str,
-    g: Graph,
+    rec: GraphRecord,
     lhs: float,
     rhs: float,
     *,
@@ -86,10 +132,10 @@ def _report(
         holds = slack > STRICT_MARGIN
     else:
         holds = slack >= -EQUALITY_TOL * max(1.0, abs(rhs))
-    match = bool(equality and class_predicate is not None and class_predicate(g))
+    match = bool(equality and class_predicate is not None and class_predicate(rec.graph))
     return BoundReport(
         bound_id=bound_id,
-        graph6=encode_graph6(g),
+        graph6=rec.graph6,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
@@ -100,27 +146,29 @@ def _report(
     )
 
 
-def check_so_shifted_upper(g: Graph) -> BoundReport:
+def check_so_shifted_upper(g: Graph | GraphRecord) -> BoundReport:
     """sombor_shifted(G) <= m*sqrt((m+1)^2 + 4); equality exactly on a star
     with m edges plus isolated vertices."""
-    m = g.m
+    rec = _record(g)
+    m = rec.graph.m
     return _report(
         "so-shifted-upper",
-        g,
-        sombor_shifted(g),
+        rec,
+        rec.so_shifted,
         m * math.sqrt((m + 1) ** 2 + 4),
         class_predicate=is_star_plus_isolated,
     )
 
 
-def check_so_red_upper(g: Graph) -> BoundReport:
+def check_so_red_upper(g: Graph | GraphRecord) -> BoundReport:
     """reduced_sombor(G) <= m(m-1); equality exactly on a star with m edges
     plus isolated vertices."""
-    m = g.m
+    rec = _record(g)
+    m = rec.graph.m
     return _report(
         "so-red-upper",
-        g,
-        reduced_sombor(g),
+        rec,
+        rec.so_red,
         m * (m - 1),
         class_predicate=is_star_plus_isolated,
     )
@@ -130,32 +178,35 @@ def _is_star(g: Graph) -> bool:
     return is_connected(g) and is_star_plus_isolated(g)
 
 
-def check_tree_corollary(g: Graph) -> BoundReport:
+def check_tree_corollary(g: Graph | GraphRecord) -> BoundReport:
     """On trees: reduced_sombor(T) <= (n-1)(n-2), equality iff T is a star."""
-    is_tree = is_connected(g) and g.m == g.n - 1
+    rec = _record(g)
+    n = rec.graph.n
+    is_tree = rec.stats.components == 1 and rec.graph.m == n - 1
     return _report(
         "tree-so-red-upper",
-        g,
-        reduced_sombor(g),
-        (g.n - 1) * (g.n - 2),
+        rec,
+        rec.so_red,
+        (n - 1) * (n - 2),
         vacuous=not is_tree,
         class_predicate=_is_star,
     )
 
 
-def check_degree_sum_bound(g: Graph) -> BoundReport:
+def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
     """For graphs with a dominating vertex and cyclomatic number nu <= n-2:
     the sum of sqrt((n-1)^2 + d(v)^2) over the other vertices is at most
     (n-nu-2)sqrt((n-1)^2+1) + nu*sqrt((n-1)^2+4) + sqrt((n-1)^2+(nu+1)^2),
     with equality iff the graph is h_graph(n, nu)."""
-    n = g.n
-    deg = g.degrees()
-    nu = g.m - n + component_count(g)
+    rec = _record(g)
+    n = rec.graph.n
+    deg = rec.stats.degrees
+    nu = rec.graph.m - n + rec.stats.components
     dominating = n >= 1 and max(deg) == n - 1
     in_hypothesis = dominating and 0 <= nu <= n - 2
     hub = deg.index(max(deg)) if n >= 1 else 0
     a = n - 1
-    lhs = sum(math.hypot(a, deg[v]) for v in range(n) if v != hub)
+    lhs = math.fsum(math.hypot(a, d) for v, d in enumerate(deg) if v != hub)
     rhs = (
         (n - nu - 2) * math.sqrt(a * a + 1)
         + nu * math.sqrt(a * a + 4)
@@ -163,7 +214,7 @@ def check_degree_sum_bound(g: Graph) -> BoundReport:
     )
     return _report(
         "degree-sum-upper",
-        g,
+        rec,
         lhs,
         rhs,
         vacuous=not in_hypothesis,
@@ -171,18 +222,18 @@ def check_degree_sum_bound(g: Graph) -> BoundReport:
     )
 
 
-def check_epsilon_identities(g: Graph) -> list[BoundReport]:
+def check_epsilon_identities(g: Graph | GraphRecord) -> list[BoundReport]:
     """Exact integer identities for the counts of edge-degree-1 and
     edge-degree-2 edges, valid whenever there is no isolated edge:
 
         e1 = 4m - M1 + sum_{i>=3} e_i (i-2)
         e2 = M1 - 3m - sum_{i>=3} e_i (i-1)
     """
-    stats = edge_stats(g)
-    vacuous = stats.isolated_edges > 0
-    m = g.m
-    m1 = first_zagreb(g)
-    counts = stats.edge_degree_counts
+    rec = _record(g)
+    vacuous = rec.stats.isolated_edges > 0
+    m = rec.graph.m
+    m1 = rec.m1
+    counts = rec.stats.edge_degree_counts
     e1 = counts.get(1, 0)
     e2 = counts.get(2, 0)
     high_sum_2 = sum(c * (i - 2) for i, c in counts.items() if i >= 3)
@@ -197,7 +248,7 @@ def check_epsilon_identities(g: Graph) -> list[BoundReport]:
         reports.append(
             BoundReport(
                 bound_id=bound_id,
-                graph6=encode_graph6(g),
+                graph6=rec.graph6,
                 lhs=float(lhs),
                 rhs=float(rhs),
                 slack=float(slack),
@@ -214,43 +265,43 @@ def _is_path_or_cycle(g: Graph) -> bool:
     return is_path_graph(g) or is_cycle_graph(g)
 
 
-def check_so_lower_bound(g: Graph) -> BoundReport:
+def check_so_lower_bound(g: Graph | GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     sombor(G) >= (1/3)(2*sqrt2 - sqrt5)(3*M1 - 4m + 2*sqrt10*m),
     with equality iff G is a path or a cycle."""
-    vacuous = edge_stats(g).isolated_edges > 0
-    m = g.m
-    rhs = SO_LOWER_COEFF * (3 * first_zagreb(g) - 4 * m + 2 * math.sqrt(10) * m)
+    rec = _record(g)
+    m = rec.graph.m
+    rhs = SO_LOWER_COEFF * (3 * rec.m1 - 4 * m + 2 * math.sqrt(10) * m)
     return _report(
         "so-lower",
-        g,
-        sombor(g),
+        rec,
+        rec.so,
         rhs,
         lower=True,
-        vacuous=vacuous,
+        vacuous=rec.stats.isolated_edges > 0,
         class_predicate=_is_path_or_cycle,
     )
 
 
-def check_so_red_lower_bound(g: Graph) -> BoundReport:
+def check_so_red_lower_bound(g: Graph | GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     reduced_sombor(G) >= (sqrt2 - 1)(M1 - 2m + sqrt2*m),
     with equality iff G is a path or a cycle."""
-    vacuous = edge_stats(g).isolated_edges > 0
-    m = g.m
-    rhs = SO_RED_LOWER_COEFF * (first_zagreb(g) - 2 * m + math.sqrt(2) * m)
+    rec = _record(g)
+    m = rec.graph.m
+    rhs = SO_RED_LOWER_COEFF * (rec.m1 - 2 * m + math.sqrt(2) * m)
     return _report(
         "so-red-lower",
-        g,
-        reduced_sombor(g),
+        rec,
+        rec.so_red,
         rhs,
         lower=True,
-        vacuous=vacuous,
+        vacuous=rec.stats.isolated_edges > 0,
         class_predicate=_is_path_or_cycle,
     )
 
 
-def check_zagreb_sandwich(g: Graph) -> list[BoundReport]:
+def check_zagreb_sandwich(g: Graph | GraphRecord) -> list[BoundReport]:
     """The four first-Zagreb comparisons, vacuous on edgeless graphs:
 
         M1 > SO               (strict; per-edge margin at least 2 - sqrt2)
@@ -258,16 +309,17 @@ def check_zagreb_sandwich(g: Graph) -> list[BoundReport]:
         SO_red <= M1 - 2m     (equality iff every edge has a leaf endpoint)
         SO_red >= (M1-2m)/sqrt2  (equality iff every edge joins equal degrees)
     """
-    vacuous = g.m == 0
-    m1 = float(first_zagreb(g))
-    so = sombor(g)
-    so_red = reduced_sombor(g)
-    reduced_cap = m1 - 2 * g.m
+    rec = _record(g)
+    vacuous = rec.graph.m == 0
+    m1 = float(rec.m1)
+    so = rec.so
+    so_red = rec.so_red
+    reduced_cap = m1 - 2 * rec.graph.m
     return [
-        _report("zagreb-so-upper", g, so, m1, strict=True, vacuous=vacuous),
+        _report("zagreb-so-upper", rec, so, m1, strict=True, vacuous=vacuous),
         _report(
             "zagreb-so-lower",
-            g,
+            rec,
             so,
             m1 / math.sqrt(2),
             lower=True,
@@ -276,7 +328,7 @@ def check_zagreb_sandwich(g: Graph) -> list[BoundReport]:
         ),
         _report(
             "zagreb-so-red-upper",
-            g,
+            rec,
             so_red,
             reduced_cap,
             vacuous=vacuous,
@@ -284,7 +336,7 @@ def check_zagreb_sandwich(g: Graph) -> list[BoundReport]:
         ),
         _report(
             "zagreb-so-red-lower",
-            g,
+            rec,
             so_red,
             reduced_cap / math.sqrt(2),
             lower=True,
@@ -294,14 +346,14 @@ def check_zagreb_sandwich(g: Graph) -> list[BoundReport]:
     ]
 
 
-BOUND_GROUPS: dict[str, Callable[[Graph], list[BoundReport]]] = {
-    "so-shifted-upper": lambda g: [check_so_shifted_upper(g)],
-    "so-red-upper": lambda g: [check_so_red_upper(g)],
-    "tree-so-red-upper": lambda g: [check_tree_corollary(g)],
-    "degree-sum-upper": lambda g: [check_degree_sum_bound(g)],
+BOUND_GROUPS: dict[str, Callable[[GraphRecord], list[BoundReport]]] = {
+    "so-shifted-upper": lambda rec: [check_so_shifted_upper(rec)],
+    "so-red-upper": lambda rec: [check_so_red_upper(rec)],
+    "tree-so-red-upper": lambda rec: [check_tree_corollary(rec)],
+    "degree-sum-upper": lambda rec: [check_degree_sum_bound(rec)],
     "epsilon-identities": check_epsilon_identities,
-    "so-lower": lambda g: [check_so_lower_bound(g)],
-    "so-red-lower": lambda g: [check_so_red_lower_bound(g)],
+    "so-lower": lambda rec: [check_so_lower_bound(rec)],
+    "so-red-lower": lambda rec: [check_so_red_lower_bound(rec)],
     "zagreb-sandwich": check_zagreb_sandwich,
 }
 
@@ -357,8 +409,9 @@ def run_suite(
     n_graphs = 0
     for g in graphs:
         n_graphs += 1
+        rec = GraphRecord(g)
         for name in selected:
-            reports.extend(BOUND_GROUPS[name](g))
+            reports.extend(BOUND_GROUPS[name](rec))
     summary = SuiteSummary(
         graphs=n_graphs,
         reports=len(reports),

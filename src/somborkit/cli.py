@@ -27,7 +27,7 @@ from .enumeration import (
     extremal_search,
 )
 from .families import FamilySpec, h_graph
-from .graphs import Graph, Graph6Error, component_count, encode_graph6, parse_graph6
+from .graphs import Graph, Graph6Error, edge_stats, encode_graph6, parse_graph6
 from .indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
 
@@ -72,9 +72,11 @@ COMPUTE_HEADER = "graph6,n,m,nu,so,so_red,so_shifted,m1"
 
 
 def _compute_row(g: Graph, g6: str) -> str:
-    nu = g.m - g.n + component_count(g)
+    stats = edge_stats(g)
+    nu = g.m - g.n + stats.components
+    m1 = float(first_zagreb(stats))
     return _csv_line(
-        [g6, g.n, g.m, nu, sombor(g), reduced_sombor(g), sombor_shifted(g), float(first_zagreb(g))]
+        [g6, g.n, g.m, nu, sombor(stats), reduced_sombor(stats), sombor_shifted(stats), m1]
     )
 
 

@@ -128,34 +128,56 @@ def cyclomatic_number(g: Graph) -> int:
 
 @dataclass(frozen=True, slots=True)
 class EdgeStats:
-    """Edge-degree histogram and endpoint-degree pair counts.
+    """Degree profile of a graph: everything the indices and bounds read.
 
-    ``edge_degree_counts[k]`` is the number of edges uv with
-    deg(u) + deg(v) - 2 = k (the degree of uv in the line graph);
     ``endpoint_degree_counts[(i, j)]`` with i <= j counts edges whose
-    endpoint degrees are {i, j}.  Both count maps sum to m.
+    endpoint degrees are {i, j}; it sums to m.  ``degrees[v]`` is the
+    degree of vertex v and ``components`` the number of connected
+    components.  The other counts are derived from these.
     """
 
-    edge_degree_counts: dict[int, int]
     endpoint_degree_counts: dict[tuple[int, int], int]
+    degrees: tuple[int, ...]
+    components: int
+
+    @property
+    def n(self) -> int:
+        return len(self.degrees)
+
+    @property
+    def m(self) -> int:
+        return sum(self.degrees) // 2
+
+    @property
+    def edge_degree_counts(self) -> dict[int, int]:
+        """``[k]`` counts edges uv with deg(u) + deg(v) - 2 = k (the degree
+        of uv in the line graph)."""
+        counts: dict[int, int] = {}
+        for (i, j), c in self.endpoint_degree_counts.items():
+            counts[i + j - 2] = counts.get(i + j - 2, 0) + c
+        return counts
 
     @property
     def isolated_edges(self) -> int:
         """Count of edges of edge-degree 0, i.e. K2 components."""
-        return self.edge_degree_counts.get(0, 0)
+        return self.endpoint_degree_counts.get((1, 1), 0)
 
 
 def edge_stats(g: Graph) -> EdgeStats:
-    deg = g.degrees()
-    by_edge_degree: dict[int, int] = {}
+    """The degree profile of g, from one pass over its edges."""
+    rows = g.rows
+    deg = tuple(r.bit_count() for r in rows)
     by_pair: dict[tuple[int, int], int] = {}
-    for u, v in g.edges():
-        du, dv = deg[u], deg[v]
-        k = du + dv - 2
-        by_edge_degree[k] = by_edge_degree.get(k, 0) + 1
-        pair = (du, dv) if du <= dv else (dv, du)
-        by_pair[pair] = by_pair.get(pair, 0) + 1
-    return EdgeStats(by_edge_degree, by_pair)
+    for u, row in enumerate(rows):
+        du = deg[u]
+        rest = row >> (u + 1) << (u + 1)
+        while rest:
+            low = rest & -rest
+            dv = deg[low.bit_length() - 1]
+            pair = (du, dv) if du <= dv else (dv, du)
+            by_pair[pair] = by_pair.get(pair, 0) + 1
+            rest ^= low
+    return EdgeStats(by_pair, deg, component_count(g))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:

@@ -1,14 +1,24 @@
 """Degree-based graph indices: Sombor family and first Zagreb.
 
-All are sums over edges of a term in the two endpoint degrees:
+Every index here is a function of the degree profile alone, so each one
+reads the ``EdgeStats`` of ``graphs.edge_stats`` -- built in one pass over
+the edges -- and never walks the edges itself.  Each function takes a
+graph or its profile; a caller that needs several indices builds the
+profile once and passes it to each.
 
-    sombor          sqrt(du^2 + dv^2)
-    reduced_sombor  sqrt((du-1)^2 + (dv-1)^2)
-    sombor_shifted  sqrt((du+1)^2 + (dv+1)^2)
-    first_zagreb    du + dv            (= sum of squared vertex degrees)
+The three Sombor indices are one shifted hypot summed over the histogram
+of endpoint-degree pairs {i, j}:
 
-``edge_sum`` is the common engine and the hook for searching over
-arbitrary symmetric degree terms.
+    sombor          sqrt(i^2 + j^2)
+    reduced_sombor  sqrt((i-1)^2 + (j-1)^2)
+    sombor_shifted  sqrt((i+1)^2 + (j+1)^2)
+
+``edge_sum`` is the same engine for any symmetric degree term, and the
+hook for searching over arbitrary terms.  Sums are taken with
+``math.fsum``, which rounds the exact sum once; the result depends only on
+the histogram, so isomorphic graphs get bit-identical values whatever
+their vertex labels.  ``first_zagreb`` is the exact integer sum of
+squared degrees (equal to the sum of endpoint-degree sums over edges).
 """
 
 from __future__ import annotations
@@ -16,55 +26,42 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .graphs import Graph
+from .graphs import EdgeStats, Graph, edge_stats
 
 
-def _require_vertices(g: Graph) -> None:
+def _profile(g: Graph | EdgeStats) -> EdgeStats:
     if g.n < 1:
         raise ValueError("index undefined on the order-0 graph")
+    return g if isinstance(g, EdgeStats) else edge_stats(g)
 
 
-def edge_sum(g: Graph, term: Callable[[int, int], float]) -> float:
+def edge_sum(g: Graph | EdgeStats, term: Callable[[int, int], float]) -> float:
     """Sum term(deg u, deg v) over the edges of g.
 
-    ``term`` must be symmetric in its two arguments.
+    ``term`` must be symmetric in its two arguments; it is evaluated once
+    per distinct endpoint-degree pair.
     """
-    _require_vertices(g)
-    deg = g.degrees()
-    return sum(term(deg[u], deg[v]) for u, v in g.edges())
+    pairs = _profile(g).endpoint_degree_counts.items()
+    return math.fsum(c * term(i, j) for (i, j), c in pairs)
 
 
-def sombor(g: Graph) -> float:
-    _require_vertices(g)
-    deg = g.degrees()
-    return sum(math.hypot(deg[u], deg[v]) for u, v in g.edges())
+def _shifted_hypot_sum(g: Graph | EdgeStats, shift: int) -> float:
+    pairs = _profile(g).endpoint_degree_counts.items()
+    return math.fsum(c * math.hypot(i + shift, j + shift) for (i, j), c in pairs)
 
 
-def reduced_sombor(g: Graph) -> float:
-    _require_vertices(g)
-    deg = g.degrees()
-    return sum(math.hypot(deg[u] - 1, deg[v] - 1) for u, v in g.edges())
+def sombor(g: Graph | EdgeStats) -> float:
+    return _shifted_hypot_sum(g, 0)
 
 
-def sombor_shifted(g: Graph) -> float:
-    _require_vertices(g)
-    deg = g.degrees()
-    return sum(math.hypot(deg[u] + 1, deg[v] + 1) for u, v in g.edges())
+def reduced_sombor(g: Graph | EdgeStats) -> float:
+    return _shifted_hypot_sum(g, -1)
 
 
-def first_zagreb(g: Graph) -> int:
-    """Sum of squared vertex degrees, computed exactly in integers.
+def sombor_shifted(g: Graph | EdgeStats) -> float:
+    return _shifted_hypot_sum(g, 1)
 
-    The equivalent edge form (sum of endpoint-degree sums) is evaluated
-    too and the two must agree exactly.
-    """
-    _require_vertices(g)
-    deg = g.degrees()
-    by_vertex = sum(d * d for d in deg)
-    by_edge = sum(deg[u] + deg[v] for u, v in g.edges())
-    if by_vertex != by_edge:
-        raise AssertionError(
-            f"first Zagreb index disagreement: {by_vertex} (vertex sum) "
-            f"vs {by_edge} (edge sum)"
-        )
-    return by_vertex
+
+def first_zagreb(g: Graph | EdgeStats) -> int:
+    """Sum of squared vertex degrees, computed exactly in integers."""
+    return sum(d * d for d in _profile(g).degrees)

@@ -1,7 +1,10 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
+from somborkit import bounds, cli, enumeration, families, graphs, indices
 from somborkit.bounds import (
     BOUND_GROUPS,
     check_degree_sum_bound,
@@ -15,17 +18,20 @@ from somborkit.bounds import (
     run_suite,
 )
 from somborkit.families import (
+    all_edges_join_equal_degrees,
     cycle,
     empty_graph,
+    every_edge_has_leaf_endpoint,
     h_graph,
     is_cycle_graph,
+    is_h_graph,
     is_path_graph,
     is_star_plus_isolated,
     path,
     star,
     star_plus_isolated,
 )
-from somborkit.graphs import graph_from_edges, parse_graph6
+from somborkit.graphs import component_count, graph_from_edges, parse_graph6
 
 K2 = graph_from_edges(2, [(0, 1)])
 
@@ -185,6 +191,16 @@ def test_run_suite_empty_and_unknown():
         run_suite([K2], ["no-such-bound"])
 
 
+def test_run_suite_order_zero_needs_no_index():
+    """The indices are undefined on the order-0 graph, so only a selection
+    that reads none of them accepts it."""
+    g0 = graph_from_edges(0, [])
+    reports, summary = run_suite([g0], ["degree-sum-upper"])
+    assert [r.vacuous for r in reports] == [True] and summary.ok
+    with pytest.raises(ValueError, match="order-0"):
+        run_suite([g0])
+
+
 def test_equality_census_upper_bounds(full_universe):
     """Equality graphs of the two global upper bounds across all classes
     with at most 6 vertices are exactly the star-plus-isolated ones."""
@@ -212,3 +228,117 @@ def test_equality_census_lower_bounds(connected_universe):
                     continue
                 assert r.holds
                 assert r.equality == expected, (r.bound_id, r.graph6)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the graphs function ``name``, wherever the
+    package looks it up."""
+    calls = []
+    original = getattr(graphs, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (bounds, cli, enumeration, families, graphs, indices):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_suite_profiles_and_encodes_each_graph_once(monkeypatch):
+    sample = [K2, path(5), cycle(6), star(4), h_graph(6, 2), empty_graph(3), parse_graph6("DJ{")]
+    encoded = count_calls(monkeypatch, "encode_graph6")
+    profiled = count_calls(monkeypatch, "edge_stats")
+    reports, summary = run_suite(sample)
+    assert summary.reports == 12 * len(sample)
+    assert [args[0] for args in encoded] == sample
+    assert [args[0] for args in profiled] == sample
+
+
+def _random_graph(rng: random.Random, kind: int):
+    """A seeded random graph on 10..40 vertices: G(n, p), G(n, p) with a
+    dominating vertex, a random tree, or a sparse graph with K2 parts."""
+    n = rng.randint(10, 40)
+    if kind == 2:
+        return graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+    p = rng.uniform(0.01, 0.08) if kind == 3 else rng.uniform(0.05, 0.6)
+    edges = {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    if kind == 1:
+        edges |= {(0, v) for v in range(1, n)}
+    return graph_from_edges(n, edges)
+
+
+def _reference_reports(g) -> list[tuple]:
+    """The whole suite for one graph from per-edge sums, as
+    (bound_id, lhs, rhs, lower, strict, vacuous, class predicate)."""
+    n, m = g.n, g.m
+    deg = g.degrees()
+    edges = list(g.edges())
+    so = sum(math.hypot(deg[u], deg[v]) for u, v in edges)
+    so_red = sum(math.hypot(deg[u] - 1, deg[v] - 1) for u, v in edges)
+    so_shifted = sum(math.hypot(deg[u] + 1, deg[v] + 1) for u, v in edges)
+    m1 = sum(deg[u] + deg[v] for u, v in edges)
+    by_edge_degree = Counter(deg[u] + deg[v] - 2 for u, v in edges)
+    no_k2 = by_edge_degree[0] == 0
+    components = component_count(g)
+    nu = m - n + components
+    a = n - 1
+    hub = deg.index(max(deg))
+    high_2 = sum(c * (k - 2) for k, c in by_edge_degree.items() if k >= 3)
+    high_1 = sum(c * (k - 1) for k, c in by_edge_degree.items() if k >= 3)
+    cap = m1 - 2 * m
+    path_or_cycle = lambda h: is_path_graph(h) or is_cycle_graph(h)  # noqa: E731
+    return [
+        ("so-shifted-upper", so_shifted, m * math.sqrt((m + 1) ** 2 + 4), 0, 0, 0,
+         is_star_plus_isolated),
+        ("so-red-upper", so_red, m * (m - 1), 0, 0, 0, is_star_plus_isolated),
+        ("tree-so-red-upper", so_red, (n - 1) * (n - 2), 0, 0,
+         not (components == 1 and m == n - 1), is_star_plus_isolated),
+        ("degree-sum-upper", sum(math.hypot(a, deg[v]) for v in range(n) if v != hub),
+         (n - nu - 2) * math.sqrt(a * a + 1) + nu * math.sqrt(a * a + 4)
+         + math.sqrt(a * a + (nu + 1) ** 2), 0, 0, not (max(deg) == a and nu <= n - 2),
+         is_h_graph),
+        ("epsilon1-identity", by_edge_degree[1], 4 * m - m1 + high_2, 0, 0, not no_k2, None),
+        ("epsilon2-identity", by_edge_degree[2], m1 - 3 * m - high_1, 0, 0, not no_k2, None),
+        ("so-lower", so, bounds.SO_LOWER_COEFF * (3 * m1 - 4 * m + 2 * math.sqrt(10) * m),
+         1, 0, not no_k2, path_or_cycle),
+        ("so-red-lower", so_red, bounds.SO_RED_LOWER_COEFF * (m1 - 2 * m + math.sqrt(2) * m),
+         1, 0, not no_k2, path_or_cycle),
+        ("zagreb-so-upper", so, m1, 0, 1, m == 0, None),
+        ("zagreb-so-lower", so, m1 / math.sqrt(2), 1, 0, m == 0, all_edges_join_equal_degrees),
+        ("zagreb-so-red-upper", so_red, cap, 0, 0, m == 0, every_edge_has_leaf_endpoint),
+        ("zagreb-so-red-lower", so_red, cap / math.sqrt(2), 1, 0, m == 0,
+         all_edges_join_equal_degrees),
+    ]  # fmt: skip
+
+
+def test_run_suite_matches_per_edge_reference():
+    """On seeded random graphs the histogram engine reproduces per-edge
+    sums to 1e-12 relative, and every flag is the one the per-edge values
+    give under the same tolerances."""
+    rng = random.Random(20210)
+    sample = [_random_graph(rng, i % 4) for i in range(48)]
+    reports, _ = run_suite(sample)
+    assert len(reports) == 12 * len(sample)
+    live = Counter()
+    for i, g in enumerate(sample):
+        for r, (bound_id, lhs, rhs, lower, strict, vacuous, predicate) in zip(
+            reports[12 * i : 12 * i + 12], _reference_reports(g)
+        ):
+            assert r.bound_id == bound_id
+            assert math.isclose(r.lhs, lhs, rel_tol=1e-12), (bound_id, r.lhs, lhs)
+            assert math.isclose(r.rhs, rhs, rel_tol=1e-12), (bound_id, r.rhs, rhs)
+            scale = bounds.EQUALITY_TOL * max(1.0, abs(rhs))
+            slack = lhs - rhs if lower else rhs - lhs
+            if bound_id.startswith("epsilon"):
+                equality = not vacuous and slack == 0
+                holds = vacuous or equality
+            else:
+                equality = not vacuous and abs(slack) <= scale
+                holds = vacuous or (slack > bounds.STRICT_MARGIN if strict else slack >= -scale)
+            match = bool(equality and predicate is not None and predicate(g))
+            flags = (r.holds, r.equality, r.equality_class_match, r.vacuous)
+            assert flags == (holds, equality, match, bool(vacuous)), (bound_id, r.graph6)
+            live[bound_id] += not vacuous
+    assert set(live) == {r.bound_id for r in reports} and all(live.values())

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,18 @@ def test_edge_stats_invariants(g):
         k = i + j - 2
         rebuilt[k] = rebuilt.get(k, 0) + count
     assert rebuilt == stats.edge_degree_counts
+    # the one edge pass agrees with an adjacency-matrix scan
+    deg = g.degrees()
+    pairs = Counter(
+        (min(deg[u], deg[v]), max(deg[u], deg[v]))
+        for v in range(g.n)
+        for u in range(v)
+        if g.has_edge(u, v)
+    )
+    assert stats.endpoint_degree_counts == pairs
+    assert stats.degrees == tuple(deg) and (stats.n, stats.m) == (g.n, g.m)
+    assert stats.components == component_count(g)
+    assert stats.isolated_edges == rebuilt.get(0, 0)
 
 
 def test_max_degree():

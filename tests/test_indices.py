@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somborkit.families import complete, cycle, h_graph, path, star, star_plus_isolated
-from somborkit.graphs import delete_vertex, graph_from_edges
+from somborkit.graphs import delete_vertex, edge_stats, graph_from_edges
 from somborkit.indices import (
     edge_sum,
     first_zagreb,
@@ -14,7 +15,7 @@ from somborkit.indices import (
     sombor_shifted,
 )
 
-from conftest import graphs_strategy
+from conftest import graphs_strategy, relabel
 
 K2 = graph_from_edges(2, [(0, 1)])
 
@@ -57,6 +58,40 @@ def test_edge_sum_engine():
     assert edge_sum(g, math.hypot) == pytest.approx(sombor(g), rel=1e-15)
     assert edge_sum(path(4), lambda a, b: a + b) == 10
     assert edge_sum(g, lambda a, b: 1) == g.m
+
+
+def test_sombor_family_is_label_invariant():
+    """Relabeled copies give bit-identical values, not merely close ones.
+    A per-edge float sum adds the same terms in a label-dependent order;
+    the first case is one whose Sombor value moves in the last digit."""
+    cases = [
+        (
+            graph_from_edges(
+                8, [(1, 2), (0, 3), (0, 4), (1, 4), (0, 5), (4, 5), (2, 6), (3, 6), (4, 6), (0, 7)]
+            ),
+            [3, 0, 6, 5, 2, 1, 4, 7],
+        )
+    ]
+    rng = random.Random(2021)
+    for _ in range(100):
+        n = rng.randint(5, 30)
+        p = rng.uniform(0.1, 0.9)
+        g = graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append((g, perm))
+    for g, perm in cases:
+        h = relabel(g, perm)
+        for fn in (sombor, reduced_sombor, sombor_shifted):
+            assert fn(h) == fn(g), (fn.__name__, g.n, perm)
+
+
+def test_indices_accept_a_profile():
+    g = h_graph(7, 3)
+    stats = edge_stats(g)
+    for fn in (sombor, reduced_sombor, sombor_shifted, first_zagreb):
+        assert fn(stats) == fn(g)
+    assert edge_sum(stats, math.hypot) == sombor(g)
 
 
 def test_indices_reject_order_zero():
