@@ -26,7 +26,7 @@ CLOSED_FORM = {"so": max_sombor_value, "sored": max_reduced_sombor_value}
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--n-max", type=int, default=8, choices=range(4, 9))
+    ap.add_argument("--n-max", type=int, default=8, choices=range(4, 10))
     ap.add_argument("--index", choices=["so", "sored", "both"], default="both")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--csv", default=None, help="also write rows to this CSV file")

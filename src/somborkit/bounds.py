@@ -55,8 +55,7 @@ class GraphRecord:
     """What every bound reads about one graph, computed once.
 
     The index values are computed on first use, so a bound selection that
-    reads none of them (or an order-0 graph, on which they are undefined)
-    never evaluates them.
+    reads none of them never evaluates them.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -357,6 +356,17 @@ BOUND_GROUPS: dict[str, Callable[[GraphRecord], list[BoundReport]]] = {
     "zagreb-sandwich": check_zagreb_sandwich,
 }
 
+# the bound_ids each group emits, in order
+GROUP_BOUND_IDS: dict[str, tuple[str, ...]] = {name: (name,) for name in BOUND_GROUPS} | {
+    "epsilon-identities": ("epsilon1-identity", "epsilon2-identity"),
+    "zagreb-sandwich": (
+        "zagreb-so-upper",
+        "zagreb-so-lower",
+        "zagreb-so-red-upper",
+        "zagreb-so-red-lower",
+    ),
+}
+
 # bound_ids whose equality case has a proven structural characterization
 CHARACTERIZED_BOUNDS = frozenset(
     {
@@ -394,7 +404,10 @@ def run_suite(
     """Evaluate the selected bound groups on every graph.
 
     ``bounds`` is a list of BOUND_GROUPS keys; None means all of them.
-    Returns one report per (graph, emitted bound) plus the tallies.
+    Returns one report per (graph, emitted bound) plus the tallies.  The
+    order-0 graph is outside every bound's hypothesis and the indices are
+    undefined on it, so its reports are vacuous with lhs, rhs and slack 0,
+    and no index is evaluated.
     """
     if bounds is None:
         selected = list(BOUND_GROUPS)
@@ -411,7 +424,23 @@ def run_suite(
         n_graphs += 1
         rec = GraphRecord(g)
         for name in selected:
-            reports.extend(BOUND_GROUPS[name](rec))
+            if g.n:
+                reports.extend(BOUND_GROUPS[name](rec))
+                continue
+            reports.extend(
+                BoundReport(
+                    bound_id=bound_id,
+                    graph6=rec.graph6,
+                    lhs=0.0,
+                    rhs=0.0,
+                    slack=0.0,
+                    holds=True,
+                    equality=False,
+                    equality_class_match=False,
+                    vacuous=True,
+                )
+                for bound_id in GROUP_BOUND_IDS[name]
+            )
     summary = SuiteSummary(
         graphs=n_graphs,
         reports=len(reports),

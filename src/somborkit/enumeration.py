@@ -6,10 +6,17 @@ Canonical form
     cells of an iterated degree-refinement partition in ascending color
     order.  The refinement keys are graph-invariant, so the constrained
     minimum is reached by isomorphic graphs and only by them: equal forms
-    iff isomorphic.  The search is a prefix-pruned backtrack; with the
-    order capped at 10 vertices the fallback of walking every admissible
-    order stays feasible even for the regular graphs that refinement
-    cannot split.
+    iff isomorphic.  The search is a prefix-pruned backtrack.  Two
+    vertices v, w are twins when N(v) - w == N(w) - v (equal open or
+    equal closed neighbourhoods); swapping them is an automorphism that
+    fixes every other vertex.  So once a candidate u has been tried at a
+    position, a later candidate that is a twin of u is skipped: with the
+    placed prefix fixed by the swap, its subtree is the image of u's and
+    yields the same encodings, so the minimum is unchanged.  A star or a
+    complete graph then costs a single root-to-leaf path.  Walking every
+    admissible order stays costly only for twin-free graphs with large
+    automorphism groups that refinement cannot split, such as cycles;
+    the order cap of 10 vertices keeps that feasible.
 
 Generation
     Graphs with m edges are produced by adding one edge to every
@@ -25,15 +32,20 @@ Generation
     canonical forms of the complements of level C(n,2) - m, so only the
     lower half is grown edge by edge.  Levels are cached per (n, m) and
     returned in ascending canonical order, which makes every downstream
-    artifact deterministic regardless of worker count.
+    artifact deterministic regardless of worker count.  With more than
+    one worker, the lower levels are grown by one process pool per
+    worker count, started at the first level that needs it and reused by
+    every later level and call in the process; interpreter exit joins
+    its workers.
 
-Scope caps: n <= 8 for arbitrary m; n = 9 only for m <= 10 (cyclomatic
-number at most 2 on the connected universe).
+Scope caps: generation covers every n <= 9 and every m (274,668 classes
+at n = 9); canonical forms go up to n = 10.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +54,6 @@ from .indices import edge_sum, reduced_sombor, sombor
 
 CANON_MAX_N = 10
 SCOPE_MAX_N = 9
-N9_MAX_M = 10
 
 UNIQUENESS_GAP = 1e-6
 VALUE_TIE_TOL = 1e-9
@@ -76,6 +87,18 @@ def _wl_partition(n: int, rows: tuple[int, ...]) -> list[int]:
         ncolors = len(palette)
 
 
+def _twin_masks(rows: tuple[int, ...]) -> list[int]:
+    """Bitmask per vertex of its twins: the w with N(v) - w == N(w) - v,
+    i.e. equal open rows (false twins) or equal closed rows (true twins)."""
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        by_open[row] = by_open.get(row, 0) | bit
+        by_closed[row | bit] = by_closed.get(row | bit, 0) | bit
+    return [by_open[row] | by_closed[row | 1 << v] for v, row in enumerate(rows)]
+
+
 def _canonical_bits(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Minimal row-bits encoding (b_1..b_{n-1}) over admissible orders.
 
@@ -92,6 +115,7 @@ def _canonical_bits(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     best = [_HUGE] * (n - 1)
     placed = [0] * n
     used = [False] * n
+    twins = _twin_masks(rows)
 
     def extend(p: int) -> None:
         if p == n:
@@ -105,9 +129,12 @@ def _canonical_bits(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
                     b = b << 1 | (row >> placed[j] & 1)
                 cands.append((b, v))
         cands.sort()
+        tried = 0  # twins of the candidates already tried here
         for b, v in cands:
             if p and b > best[p - 1]:
                 break
+            if tried >> v & 1:
+                continue
             if p and b < best[p - 1]:
                 best[p - 1] = b
                 for i in range(p, n - 1):
@@ -116,6 +143,7 @@ def _canonical_bits(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
             placed[p] = v
             extend(p + 1)
             used[v] = False
+            tried |= twins[v]
 
     extend(0)
     return tuple(best)
@@ -155,10 +183,6 @@ def _check_scope(n: int, m: int) -> None:
         raise ValueError(f"no graphs with n={n}, m={m}")
     if n > SCOPE_MAX_N:
         raise ValueError(f"generation capped at n <= {SCOPE_MAX_N}, got n={n}")
-    if n == SCOPE_MAX_N and m > N9_MAX_M:
-        raise ValueError(
-            f"generation at n={SCOPE_MAX_N} capped at m <= {N9_MAX_M}, got m={m}"
-        )
 
 
 def _children_of_chunk(args: tuple[int, list[tuple[int, ...]]]) -> set[tuple[int, ...]]:
@@ -201,6 +225,16 @@ def _children_of_chunk(args: tuple[int, list[tuple[int, ...]]]) -> set[tuple[int
 
 
 _level_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_pools: dict[int, ProcessPoolExecutor] = {}
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's one pool of ``workers`` workers, started on first use.
+    It is never shut down here: interpreter exit joins its workers."""
+    pool = _pools.get(workers)
+    if pool is None:
+        pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+    return pool
 
 
 def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
@@ -226,9 +260,12 @@ def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
             step = (len(parents) + 4 * workers - 1) // (4 * workers)
             chunks = [(n, parents[i : i + step]) for i in range(0, len(parents), step)]
             merged: set[tuple[int, ...]] = set()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_children_of_chunk, chunks):
+            try:
+                for part in _pool(workers).map(_children_of_chunk, chunks):
                     merged |= part
+            except BrokenProcessPool:
+                del _pools[workers]  # the next call starts a fresh pool
+                raise
         else:
             merged = _children_of_chunk((n, parents))
         result = tuple(sorted(merged))

@@ -192,13 +192,19 @@ def test_run_suite_empty_and_unknown():
 
 
 def test_run_suite_order_zero_needs_no_index():
-    """The indices are undefined on the order-0 graph, so only a selection
-    that reads none of them accepts it."""
+    """The indices are undefined on the order-0 graph, so every bound is
+    vacuous on it and no index is evaluated: one all-zero report per
+    bound id, with the ids and order the groups emit on K1."""
     g0 = graph_from_edges(0, [])
     reports, summary = run_suite([g0], ["degree-sum-upper"])
     assert [r.vacuous for r in reports] == [True] and summary.ok
-    with pytest.raises(ValueError, match="order-0"):
-        run_suite([g0])
+    reports, summary = run_suite([g0])
+    k1_reports, _ = run_suite([graph_from_edges(1, [])])
+    assert [r.bound_id for r in reports] == [r.bound_id for r in k1_reports]
+    assert len(reports) == 12 and summary.ok and summary.vacuous == 12
+    assert all(
+        r.vacuous and r.holds and (r.lhs, r.rhs, r.slack) == (0.0, 0.0, 0.0) for r in reports
+    )
 
 
 def test_equality_census_upper_bounds(full_universe):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -142,6 +143,30 @@ def test_verify_bounds_from_file(tmp_path, capsys):
     assert rc == 0, err
     rows = [line for line in out.splitlines() if line.startswith("so-red-upper,")]
     assert len(rows) == 2
+
+
+def test_verify_bounds_reports_the_order_zero_graph(monkeypatch, capsys):
+    """The order-0 graph gets 12 vacuous all-zero reports instead of
+    aborting the run, from a generated universe and from input alike;
+    the exit status then reflects the other graphs.  `compute` still
+    rejects the line."""
+    order_zero = ["?,0,0,0,true,false,false,true"] * 12
+    rc, out, err = run(capsys, ["verify-bounds", "--n", "0..1", "--universe", "all"])
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert [line.split(",", 1)[1] for line in lines[1:13]] == order_zero
+    assert lines[-1] == "2,24,7,7,17,0,0"
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\nDJ{\n"))
+    rc, out, err = run(capsys, ["verify-bounds", "--input", "-"])
+    assert rc == 1 and "1 violation(s)" in err
+    lines = out.splitlines()
+    assert [line.split(",", 1)[1] for line in lines[1:13]] == order_zero
+    assert any(line.startswith("degree-sum-upper,DJ{,") for line in lines)
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
+    rc, out, err = run(capsys, ["compute", "--input", "-"])
+    assert rc == 1 and "line 1" in err and "order-0" in err
 
 
 def test_verify_bounds_unknown_bound(capsys):

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import sys
 from itertools import permutations
 from math import factorial
 
@@ -18,7 +20,7 @@ from somborkit.enumeration import (
     connected_graphs,
     extremal_search,
 )
-from somborkit.families import cycle, h_graph, max_sombor_value, path, star
+from somborkit.families import complete, cycle, h_graph, max_sombor_value, path, star
 from somborkit.graphs import graph_from_edges, is_connected
 
 from conftest import (
@@ -162,6 +164,103 @@ def test_generation_prunes_canonical_calls(monkeypatch):
     assert calls < 30_000
 
 
+def _backtrack_nodes(g):
+    """Calls of the canonical-form backtrack's ``extend`` closure on g."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "extend":
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        canonical_form(g)
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+def test_twin_pruning_bounds_backtrack_nodes():
+    """Swapping two twins is an automorphism, so the backtrack tries one
+    vertex per twin class at each position.  The star and the complete
+    graph are one root-to-leaf path (without pruning: 149,921 and 109,601
+    nodes).  K3,3 takes one path per side, because swapping the sides is
+    not a twin transposition (211 nodes without pruning)."""
+    k33 = graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert _backtrack_nodes(star(9)) <= 9 + 1
+    assert _backtrack_nodes(complete(8)) <= 8 + 1
+    assert _backtrack_nodes(k33) <= 2 * 6 + 1
+
+
+def _threshold_graph(n, dominating):
+    """Vertex v > 0 joins every earlier vertex iff bit v - 1 of ``dominating``
+    is set, and none otherwise."""
+    return graph_from_edges(
+        n, [(u, v) for v in range(1, n) if dominating >> (v - 1) & 1 for u in range(v)]
+    )
+
+
+def test_canonical_forms_of_threshold_graphs():
+    """The 2^7 threshold graphs on 8 vertices are pairwise non-isomorphic
+    and built from twins alone."""
+    rng = random.Random(8)
+    forms = set()
+    for dominating in range(1 << 7):
+        g = _threshold_graph(8, dominating)
+        form = canonical_form(g)
+        perm = list(range(8))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == form
+        forms.add(form)
+    assert len(forms) == 128
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _complete_multipartite(parts):
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return graph_from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    )
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_canonical_forms_of_complete_multipartite_graphs(n):
+    """One graph per partition of n, each part a class of false twins."""
+    rng = random.Random(n)
+    graphs = [_complete_multipartite(parts) for parts in _partitions(n)]
+    shuffled = []
+    for g in graphs:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled.append(relabel(g, perm))
+    for g in graphs:
+        for h in shuffled:
+            ours = canonical_form(g) == canonical_form(h)
+            assert ours == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+# OEIS A008406, row 9: graphs on 9 unlabeled vertices by edge count
+A008406_ROW_9 = [1, 1, 2, 5, 11, 25, 63, 148, 345, 771, 1637, 3252, 5995, 10120, 15615]
+A008406_ROW_9 += [21933, 27987, 32403, 34040]
+A008406_ROW_9 += A008406_ROW_9[-2::-1]
+
+
+def test_class_counts_n9_match_oeis():
+    """The sparse levels, and the dense ones built from their complements."""
+    levels = [*range(13), *range(24, 37)]
+    assert [len(all_graphs(9, m)) for m in levels] == [A008406_ROW_9[m] for m in levels]
+
+
 # OEIS A008406, row 8: graphs on 8 unlabeled vertices by edge count
 A008406_ROW_8 = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646]
 A008406_ROW_8 += A008406_ROW_8[-2::-1]
@@ -249,16 +348,16 @@ def test_scope_caps():
     with pytest.raises(ValueError):
         all_graphs(10, 3)
     with pytest.raises(ValueError):
-        all_graphs(9, 11)
+        all_graphs(10, 36)
     with pytest.raises(ValueError):
         connected_graphs(4, 9)
     with pytest.raises(ValueError):
-        extremal_search(9, 3)
+        extremal_search(10, 3)
     with pytest.raises(ValueError):
         extremal_search(5, 4)
     with pytest.raises(ValueError):
         extremal_search(5, 2, "zagreb")
-    # n = 9 is allowed while the edge count stays within the cap
+    # n = 9 is within scope
     assert extremal_search(9, 0, "so").unique
 
 
