@@ -2,14 +2,15 @@
 
 Every bound here depends only on n, m, the component count and the
 histogram of endpoint-degree pairs.  So each graph is profiled once: a
-``GraphRecord`` holds its ``EdgeStats`` (one pass over the edges), its
-graph6 text (encoded once) and the four index values, each evaluated
-from the profile at most once and only if a selected bound reads it.
-Every check reads that record; ``run_suite`` builds one per graph and
-passes it to every selected group, and the public ``check_*`` functions
-also accept a plain ``Graph`` and build the record themselves.  Index
-values are ``math.fsum`` sums over the histogram, so a report does not
-depend on how the graph's vertices are labeled.
+``GraphRecord`` holds its ``EdgeStats`` (one ``edge_stats`` call), its
+graph6 text (the text it was read from, or encoded once for a generated
+graph) and the four index values, each evaluated from the profile at
+most once and only if a selected bound reads it.  Every check reads that
+record; ``run_suite`` takes graphs or records, builds a record per graph
+as it goes and passes it to every selected group, and the public
+``check_*`` functions also accept a plain ``Graph`` and build the record
+themselves.  Index values are ``math.fsum`` sums over the histogram, so
+a report does not depend on how the graph's vertices are labeled.
 
 Each check produces a BoundReport.  Slack is oriented so that
 ``slack >= -tolerance`` is the uniform holds-test: rhs - lhs for upper
@@ -54,14 +55,16 @@ SO_RED_LOWER_COEFF = math.sqrt(2) - 1
 class GraphRecord:
     """What every bound reads about one graph, computed once.
 
-    The index values are computed on first use, so a bound selection that
-    reads none of them never evaluates them.
+    ``graph6`` is the text g was read from, in standard form (short size
+    header for n <= 62); it is encoded from g when not given.  The index
+    values are computed on first use, so a bound selection that reads
+    none of them never evaluates them.
     """
 
-    def __init__(self, g: Graph) -> None:
+    def __init__(self, g: Graph, graph6: str | None = None) -> None:
         self.graph = g
         self.stats = edge_stats(g)
-        self.graph6 = encode_graph6(g)
+        self.graph6 = encode_graph6(g) if graph6 is None else graph6
 
     @cached_property
     def so(self) -> float:
@@ -399,11 +402,13 @@ class SuiteSummary:
 
 
 def run_suite(
-    graphs: Iterable[Graph], bounds: Iterable[str] | None = None
+    graphs: Iterable[Graph | GraphRecord], bounds: Iterable[str] | None = None
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Evaluate the selected bound groups on every graph.
 
-    ``bounds`` is a list of BOUND_GROUPS keys; None means all of them.
+    ``graphs`` may be a lazy iterable of graphs or records; it is read
+    once, one graph at a time.  ``bounds`` is a list of BOUND_GROUPS
+    keys; None means all of them.
     Returns one report per (graph, emitted bound) plus the tallies.  The
     order-0 graph is outside every bound's hypothesis and the indices are
     undefined on it, so its reports are vacuous with lhs, rhs and slack 0,
@@ -422,9 +427,9 @@ def run_suite(
     n_graphs = 0
     for g in graphs:
         n_graphs += 1
-        rec = GraphRecord(g)
+        rec = _record(g)
         for name in selected:
-            if g.n:
+            if rec.graph.n:
                 reports.extend(BOUND_GROUPS[name](rec))
                 continue
             reports.extend(

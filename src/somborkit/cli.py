@@ -10,6 +10,11 @@ Subcommands:
 Output is deterministic: identical invocations produce byte-identical
 output regardless of --workers.  Exit status is 0 only when no violation,
 anomaly, parse error, or cap breach occurred.
+
+Input is read one line at a time: ``verify-bounds --input`` parses and
+checks each graph before reading the next, and prints its report (or, on
+a malformed line, only the error) at the end.  ``enumerate`` checks every
+requested level first and then writes each line as its level is built.
 """
 
 from __future__ import annotations
@@ -17,17 +22,26 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from typing import Iterator
 
-from .bounds import BOUND_GROUPS, run_suite
+from .bounds import BOUND_GROUPS, GraphRecord, run_suite
 from .enumeration import (
     AmbiguousMaximumError,
     all_graphs,
     canonical_form,
+    check_scope,
     connected_graphs,
     extremal_search,
 )
 from .families import FamilySpec, h_graph
-from .graphs import Graph, Graph6Error, edge_stats, encode_graph6, parse_graph6
+from .graphs import (
+    Graph,
+    Graph6Error,
+    edge_stats,
+    encode_graph6,
+    graph6_header,
+    parse_graph6,
+)
 from .indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
 
@@ -52,11 +66,19 @@ def _open_out(path: str):
             yield fh
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str) -> Iterator[str]:
+    """The lines of a file, or of stdin for "-", read one at a time.
+
+    Each line read is split again with ``str.splitlines``, so the lines
+    (and line numbers) are those of ``read().splitlines()``.
+    """
     if path == "-":
-        return sys.stdin.read().splitlines()
+        for raw in sys.stdin:
+            yield from raw.splitlines()
+        return
     with open(path) as fh:
-        return fh.read().splitlines()
+        for raw in fh:
+            yield from raw.splitlines()
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -149,16 +171,23 @@ def _m_values(args, n: int) -> list[int]:
 def cmd_enumerate(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
     connected_only = args.universe == "connected"
-    out_lines: list[str] = []
+    csv = args.format == "csv"
+    # every requested level is checked before the first line is written
+    levels = []
     for n in range(n_lo, n_hi + 1):
-        for g in _universe_for(n, _m_values(args, n), connected_only, args.workers):
-            g6 = encode_graph6(g)
-            out_lines.append(_compute_row(g, g6) if args.format == "csv" else g6)
+        ms = _m_values(args, n)
+        for m in ms:
+            check_scope(n, m)
+        if csv and n == 0 and ms and not connected_only:
+            raise ValueError("index undefined on the order-0 graph")
+        levels.append((n, ms))
     with _open_out(args.output) as out:
-        if args.format == "csv":
+        if csv:
             print(COMPUTE_HEADER, file=out)
-        for line in out_lines:
-            print(line, file=out)
+        for n, ms in levels:
+            for g in _universe_for(n, ms, connected_only, args.workers):
+                g6 = encode_graph6(g)
+                print(_compute_row(g, g6) if csv else g6, file=out)
     return 0
 
 
@@ -207,6 +236,24 @@ def cmd_verify_extremal(args) -> int:
     return 0
 
 
+def _input_records(path: str) -> Iterator[GraphRecord]:
+    """One record per non-blank graph6 line, parsed as it is read.  The
+    record keeps the line's text, with a long size header shortened when
+    n <= 62, as ``encode_graph6`` would write it.  A malformed line raises
+    ``Graph6Error`` naming its line number."""
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            g = parse_graph6(text)
+        except Graph6Error as exc:
+            raise Graph6Error(f"line {lineno}: {exc}") from None
+        if text[0] == "~" and g.n <= 62:
+            text = graph6_header(g.n) + text[4:]
+        yield GraphRecord(g, text)
+
+
 BOUNDS_HEADER = "bound_id,graph6,lhs,rhs,slack,holds,equality,class_match,vacuous"
 SUMMARY_HEADER = "graphs,reports,holds,equality,vacuous,violations,anomalies"
 
@@ -224,27 +271,23 @@ def cmd_verify_bounds(args) -> int:
             )
             return 2
     if args.input is not None:
-        graphs = []
-        for lineno, raw in enumerate(_read_lines(args.input), start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                graphs.append(parse_graph6(text))
-            except Graph6Error as exc:
-                print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                return 1
+        graphs = _input_records(args.input)
+    elif args.n is None:
+        print("error: need --input or --n with --universe", file=sys.stderr)
+        return 2
     else:
-        if args.n is None:
-            print("error: need --input or --n with --universe", file=sys.stderr)
-            return 2
         n_lo, n_hi = _parse_range(args.n)
-        graphs = []
-        for n in range(n_lo, n_hi + 1):
-            graphs.extend(
-                _universe_for(n, _m_values(args, n), args.universe == "connected", args.workers)
-            )
-    reports, summary = run_suite(graphs, selection)
+        connected_only = args.universe == "connected"
+        graphs = (
+            g
+            for n in range(n_lo, n_hi + 1)
+            for g in _universe_for(n, _m_values(args, n), connected_only, args.workers)
+        )
+    try:
+        reports, summary = run_suite(graphs, selection)
+    except Graph6Error as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with _open_out(args.output) as out:
         print(BOUNDS_HEADER, file=out)
         for r in reports:

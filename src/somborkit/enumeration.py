@@ -33,10 +33,11 @@ Generation
     lower half is grown edge by edge.  Levels are cached per (n, m) and
     returned in ascending canonical order, which makes every downstream
     artifact deterministic regardless of worker count.  With more than
-    one worker, the lower levels are grown by one process pool per
-    worker count, started at the first level that needs it and reused by
-    every later level and call in the process; interpreter exit joins
-    its workers.
+    one worker, a level with more than four parents (or complements) per
+    worker is built in chunks by one process pool per worker count:
+    children below the middle, complement forms above it.  The pool is
+    started at the first level that needs it and reused by every later
+    level and call in the process; interpreter exit joins its workers.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -178,14 +179,15 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(g.n, _canonical_bits(g.n, g.rows))
 
 
-def _check_scope(n: int, m: int) -> None:
+def check_scope(n: int, m: int) -> None:
+    """Raise ValueError unless (n, m) is a level generation can build."""
     if n < 0 or m < 0 or m > n * (n - 1) // 2:
         raise ValueError(f"no graphs with n={n}, m={m}")
     if n > SCOPE_MAX_N:
         raise ValueError(f"generation capped at n <= {SCOPE_MAX_N}, got n={n}")
 
 
-def _children_of_chunk(args: tuple[int, list[tuple[int, ...]]]) -> set[tuple[int, ...]]:
+def _children_of_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> set[tuple[int, ...]]:
     """Canonical keys of the children of the parent keys whose new edge uv
     has the largest endpoint-degree sum in the child.
 
@@ -224,6 +226,17 @@ def _children_of_chunk(args: tuple[int, list[tuple[int, ...]]]) -> set[tuple[int
     return out
 
 
+def _complement_keys(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[tuple[int, ...]]:
+    """Canonical keys of the complements of the given keys."""
+    n, chunk = args
+    full = (1 << n) - 1
+    out = []
+    for bits in chunk:
+        rows = _rows_from_bits(n, bits)
+        out.append(_canonical_bits(n, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows))))
+    return out
+
+
 _level_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 _pools: dict[int, ProcessPoolExecutor] = {}
 
@@ -237,6 +250,22 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
+def _map_chunks(
+    fn: Callable, n: int, keys: tuple[tuple[int, ...], ...], workers: int
+) -> list:
+    """``fn((n, chunk))`` over chunks of ``keys``, in the pool when there
+    are more than four keys per worker, else one call in this process."""
+    if workers > 1 and len(keys) > 4 * workers:
+        step = (len(keys) + 4 * workers - 1) // (4 * workers)
+        chunks = [(n, keys[i : i + step]) for i in range(0, len(keys), step)]
+        try:
+            return list(_pool(workers).map(fn, chunks))
+        except BrokenProcessPool:
+            del _pools[workers]  # the next call starts a fresh pool
+            raise
+    return [fn((n, keys))]
+
+
 def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
     """Sorted canonical keys of all isomorphism classes with n vertices,
     m edges.  Levels above the middle are complements of lower ones."""
@@ -248,27 +277,11 @@ def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
     if m == 0:
         result: tuple[tuple[int, ...], ...] = ((0,) * max(n - 1, 0),)
     elif 2 * m > slots:
-        full = (1 << n) - 1
-        complements = (
-            tuple(full ^ r ^ 1 << v for v, r in enumerate(_rows_from_bits(n, bits)))
-            for bits in _level(n, slots - m, workers)
-        )
-        result = tuple(sorted(_canonical_bits(n, rows) for rows in complements))
+        parts = _map_chunks(_complement_keys, n, _level(n, slots - m, workers), workers)
+        result = tuple(sorted(k for part in parts for k in part))
     else:
-        parents = list(_level(n, m - 1, workers))
-        if workers > 1 and len(parents) > 4 * workers:
-            step = (len(parents) + 4 * workers - 1) // (4 * workers)
-            chunks = [(n, parents[i : i + step]) for i in range(0, len(parents), step)]
-            merged: set[tuple[int, ...]] = set()
-            try:
-                for part in _pool(workers).map(_children_of_chunk, chunks):
-                    merged |= part
-            except BrokenProcessPool:
-                del _pools[workers]  # the next call starts a fresh pool
-                raise
-        else:
-            merged = _children_of_chunk((n, parents))
-        result = tuple(sorted(merged))
+        parts = _map_chunks(_children_of_chunk, n, _level(n, m - 1, workers), workers)
+        result = tuple(sorted(set().union(*parts)))
     _level_cache[key] = result
     return result
 
@@ -278,7 +291,7 @@ def all_graphs(
 ) -> list[Graph]:
     """One canonical representative per isomorphism class of (n, m)-graphs,
     in ascending canonical order."""
-    _check_scope(n, m)
+    check_scope(n, m)
     graphs = [CanonicalForm(n, bits).to_graph() for bits in _level(n, m, workers)]
     if not allow_disconnected:
         graphs = [g for g in graphs if is_connected(g)]
@@ -330,7 +343,7 @@ def extremal_search(
     if not 0 <= nu <= n - 2:
         raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
     m = n - 1 + nu
-    _check_scope(n, m)
+    check_scope(n, m)
     if callable(index):
         term = index
         value_of = lambda g: edge_sum(g, term)  # noqa: E731

@@ -4,6 +4,28 @@ Vertices are 0..n-1.  Each adjacency row is a Python int used as a bit set,
 so a graph is just ``(n, rows)`` with ``rows[u] >> v & 1`` telling whether
 uv is an edge.  Graphs are immutable; every operation here is a pure
 function returning fresh values.
+
+graph6 codec
+    ``parse_graph6`` reads one line without a per-bit Python loop.  One
+    ``str.translate`` turns the body into a string of '0'/'1' characters,
+    six per byte; the bits of column v (its adjacency to 0..v-1) are the
+    slice ``bits[v(v-1)/2 : v(v+1)/2]``.  The columns, zero-padded to n
+    characters, make an n-by-n string holding the edges uv with u < v
+    at v * n + u; its transpose, n stride-n slices, holds those with
+    u > v.  Each string read backwards as one binary number has bit
+    v * n + u set for those edges, so their OR is the adjacency matrix
+    and each row is an n-bit shift of it.  The parser is strict (graph6
+    characters only, exact body length, zero padding) and raises
+    ``Graph6Error`` otherwise.  ``encode_graph6`` writes the standard
+    form back, with the short size header whenever n <= 62
+    (``graph6_header``).
+
+Degree profile
+    ``edge_stats`` returns what every index and bound reads: the
+    endpoint-degree pair histogram, the degrees and the component count.
+    The histogram is counted per pair of degree classes: the rows of one
+    class, packed into one int, are popcounted against the bit set of the
+    other, copied into every row's lane.
 """
 
 from __future__ import annotations
@@ -164,19 +186,33 @@ class EdgeStats:
 
 
 def edge_stats(g: Graph) -> EdgeStats:
-    """The degree profile of g, from one pass over its edges."""
+    """The degree profile of g.
+
+    With C_j the bit set of the vertices of degree j, the rows of the
+    degree-i vertices meet C_j in sum |N(u) & C_j| edge ends: each edge
+    between the two classes once when i < j, twice when i == j.  The rows
+    of a class are packed n bits apart into one int, so that sum is one
+    popcount against C_j copied into every n-bit lane.
+    """
+    n = g.n
     rows = g.rows
-    deg = tuple(r.bit_count() for r in rows)
+    deg = tuple(map(int.bit_count, rows))
+    packed: dict[int, int] = {}  # degree -> the rows of that class
+    masks: dict[int, int] = {}  # degree -> bit set of that class
+    for v, d in enumerate(deg):
+        if d:
+            packed[d] = packed.get(d, 0) << n | rows[v]
+            masks[d] = masks.get(d, 0) | 1 << v
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1) if n > 1 else 0  # 1 in every lane
+    classes = sorted(masks)
+    lanes = [masks[j] * ones for j in classes]
     by_pair: dict[tuple[int, int], int] = {}
-    for u, row in enumerate(rows):
-        du = deg[u]
-        rest = row >> (u + 1) << (u + 1)
-        while rest:
-            low = rest & -rest
-            dv = deg[low.bit_length() - 1]
-            pair = (du, dv) if du <= dv else (dv, du)
-            by_pair[pair] = by_pair.get(pair, 0) + 1
-            rest ^= low
+    for a, i in enumerate(classes):
+        rows_i = packed[i]
+        for b in range(a, len(classes)):
+            ends = (rows_i & lanes[b]).bit_count()
+            if ends:
+                by_pair[(i, classes[b])] = ends if a < b else ends // 2
     return EdgeStats(by_pair, deg, component_count(g))
 
 
@@ -205,14 +241,18 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 GRAPH6_MAX_N = 64
 
 
+def graph6_header(n: int) -> str:
+    """The size header N(n): one byte for n <= 62, else '~' and three."""
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+
+
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supported for n <= {GRAPH6_MAX_N}, got n={g.n}")
     n = g.n
-    if n <= 62:
-        out = [chr(n + 63)]
-    else:
-        out = ["~", chr((n >> 12 & 63) + 63), chr((n >> 6 & 63) + 63), chr((n & 63) + 63)]
+    out = [graph6_header(n)]
     acc = 0
     nbits = 0
     for v in range(1, n):
@@ -230,25 +270,26 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+# str.translate table: each graph6 character to its six bits, MSB first
+_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line (strict: exact length, clean padding)."""
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 string")
-    vals = []
-    for ch in s:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 range")
-        vals.append(c - 63)
-    if vals[0] == 63:  # '~' long-form header
-        if len(vals) < 4:
+    if min(s) < "?" or max(s) > "~":
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {bad!r} outside graph6 range")
+    if s[0] == "~":  # long-form header
+        if len(s) < 4:
             raise Graph6Error("truncated long-form size header")
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        body = s[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     if n > GRAPH6_MAX_N:
         raise Graph6Error(f"n={n} exceeds supported maximum {GRAPH6_MAX_N}")
     nbits = n * (n - 1) // 2
@@ -257,14 +298,18 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"body length {len(body)} does not match n={n} (expected {nbytes} bytes)"
         )
-    rows = [0] * n
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if body[i // 6] >> (5 - i % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            i += 1
-    if nbits % 6 and body and body[-1] & ((1 << (6 - nbits % 6)) - 1):
+    bits = body.translate(_BITS)
+    if "1" in bits[nbits:]:
         raise Graph6Error("padding bits beyond the upper triangle are set")
-    return _from_rows(n, tuple(rows))
+    if not n:
+        return Graph(0, (), 0)
+    # square[v * n + u] is the bit of edge uv when u < v, else '0', and
+    # transpose[v * n + u] the same for u > v; read backwards as binary
+    # numbers, both put edge uv at bit v * n + u.
+    square = "".join(
+        [bits[v * (v - 1) // 2 : v * (v + 1) // 2] + "0" * (n - v) for v in range(n)]
+    )
+    transpose = "".join([square[u::n] for u in range(n)])
+    both = int(square[::-1], 2) | int(transpose[::-1], 2)
+    full = (1 << n) - 1
+    return Graph(n, tuple([both >> v * n & full for v in range(n)]), bits.count("1"))

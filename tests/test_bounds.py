@@ -31,7 +31,7 @@ from somborkit.families import (
     star,
     star_plus_isolated,
 )
-from somborkit.graphs import component_count, graph_from_edges, parse_graph6
+from somborkit.graphs import component_count, encode_graph6, graph_from_edges, parse_graph6
 
 K2 = graph_from_edges(2, [(0, 1)])
 
@@ -260,6 +260,36 @@ def test_run_suite_profiles_and_encodes_each_graph_once(monkeypatch):
     assert summary.reports == 12 * len(sample)
     assert [args[0] for args in encoded] == sample
     assert [args[0] for args in profiled] == sample
+
+
+def test_verify_bounds_input_streams_and_never_encodes(monkeypatch, capsys):
+    """Each input line is read, parsed and profiled before the next one is
+    read, and the report reuses the input text instead of encoding it."""
+    lines = [encode_graph6(g) for g in (path(5), cycle(6), star(4), h_graph(7, 3))]
+    read = []
+
+    def feed():
+        for line in lines:
+            read.append(line)
+            yield line + "\n"
+
+    monkeypatch.setattr("sys.stdin", feed())
+    encoded = count_calls(monkeypatch, "encode_graph6")
+    profiled = count_calls(monkeypatch, "edge_stats")
+    lines_read_when_profiled = []
+    counted_edge_stats = bounds.edge_stats
+
+    def spy(g):
+        lines_read_when_profiled.append(len(read))
+        return counted_edge_stats(g)
+
+    monkeypatch.setattr(bounds, "edge_stats", spy)
+    assert cli.main(["verify-bounds", "--input", "-"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert encoded == []
+    assert [args[0] for args in profiled] == [parse_graph6(line) for line in lines]
+    assert lines_read_when_profiled == [1, 2, 3, 4]
+    assert [row.split(",")[1] for row in out[1:-3:12]] == lines
 
 
 def _random_graph(rng: random.Random, kind: int):

@@ -5,7 +5,7 @@ import pytest
 
 from somborkit.cli import main
 from somborkit.families import h_graph, star
-from somborkit.graphs import encode_graph6, parse_graph6
+from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
 
 
 def run(capsys, argv):
@@ -167,6 +167,40 @@ def test_verify_bounds_reports_the_order_zero_graph(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
     rc, out, err = run(capsys, ["compute", "--input", "-"])
     assert rc == 1 and "line 1" in err and "order-0" in err
+
+
+def test_verify_bounds_parse_error_names_the_line_and_prints_no_report(tmp_path, capsys):
+    src = tmp_path / "graphs.g6"
+    src.write_text("D?{\n\nBW\nD?\nDJ{\n")
+    rc, out, err = run(capsys, ["verify-bounds", "--input", str(src)])
+    assert rc == 1 and out == ""
+    assert err == "error: line 4: body length 1 does not match n=5 (expected 2 bytes)\n"
+
+
+def test_verify_bounds_prints_long_headers_in_short_form(monkeypatch, capsys):
+    g = graph_from_edges(12, [(0, 1), (1, 2), (5, 11)])
+    short = encode_graph6(g)
+    long_form = "~??" + chr(12 + 63) + short[1:]
+    big = graph_from_edges(63, [(0, 62)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{long_form}\n  {encode_graph6(big)}\n"))
+    rc, out, err = run(capsys, ["verify-bounds", "--input", "-", "--bounds", "so-red-upper"])
+    assert rc == 0, err
+    rows = out.splitlines()[1:3]
+    assert [row.split(",")[1] for row in rows] == [short, encode_graph6(big)]
+    assert encode_graph6(big).startswith("~")
+
+
+def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):
+    rc, out, err = run(capsys, ["enumerate", "--n", "8..10"])
+    assert rc == 2 and out == "" and "capped at n <= 9" in err
+    dest = tmp_path / "out.g6"
+    rc, out, err = run(capsys, ["enumerate", "--n", "3..10", "--output", str(dest)])
+    assert rc == 2 and not dest.exists()
+    # the CSV row of the order-0 graph needs indices, which are undefined
+    rc, out, err = run(capsys, ["enumerate", "--n", "0..3", "--universe", "all", "--format", "csv"])
+    assert rc == 2 and out == "" and "order-0" in err
+    rc, out, err = run(capsys, ["enumerate", "--n", "0..2", "--format", "csv"])
+    assert rc == 0 and out.splitlines()[0].startswith("graph6,") and len(out.splitlines()) == 3
 
 
 def test_verify_bounds_unknown_bound(capsys):

@@ -303,6 +303,27 @@ def test_deterministic_order_and_workers():
     assert with_workers == base
 
 
+def test_upper_level_through_the_pool_matches_serial(monkeypatch):
+    """An upper level (2m > C(n,2)) is canonicalized in the worker pool
+    when its complement level is large enough, with the serial result."""
+    serial = enumeration._level(7, 15)
+    assert len(enumeration._level(7, 6)) > 4 * 2  # above the pool gate
+    pooled_with = []
+    pool = enumeration._pool
+
+    def spy(workers):
+        pooled_with.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(enumeration, "_pool", spy)
+    del enumeration._level_cache[(7, 15)]
+    try:
+        assert enumeration._level(7, 15, workers=2) == serial
+    finally:
+        enumeration._level_cache[(7, 15)] = serial
+    assert pooled_with == [2]
+
+
 def test_extremal_search_5_2():
     report = extremal_search(5, 2, "so")
     assert report.unique and report.universe_size == 5

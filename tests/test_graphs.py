@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import networkx as nx
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from somborkit.families import cycle, h_graph, path, star, star_plus_isolated
+from somborkit.families import complete, cycle, h_graph, path, star, star_plus_isolated
 from somborkit.graphs import (
     Graph6Error,
     component_count,
@@ -14,6 +15,7 @@ from somborkit.graphs import (
     delete_vertex,
     edge_stats,
     encode_graph6,
+    graph6_header,
     graph_from_edges,
     is_connected,
     max_degree,
@@ -221,3 +223,118 @@ def test_graph6_malformed():
         parse_graph6("BF")  # padding bits set beyond the triangle ('F' = 000111)
     with pytest.raises(Graph6Error):
         parse_graph6("~??")  # truncated long-form header
+
+
+def test_graph6_malformed_messages():
+    cases = {
+        "": "empty graph6 string",
+        "B\x1f": "body length 0 does not match n=3 (expected 1 bytes)",
+        "D?{?": "body length 3 does not match n=5 (expected 2 bytes)",
+        "D?": "body length 1 does not match n=5 (expected 2 bytes)",
+        "BF": "padding bits beyond the upper triangle are set",
+        "~??": "truncated long-form size header",
+        "C?\x80": "character '\\x80' outside graph6 range",
+        "D?{ \x7f{": "character ' ' outside graph6 range",
+        "~??~": "body length 0 does not match n=63 (expected 326 bytes)",
+        "~?A?": "n=128 exceeds supported maximum 64",
+    }
+    for text, message in cases.items():
+        with pytest.raises(Graph6Error) as info:
+            parse_graph6(text)
+        assert str(info.value) == message, text
+
+
+def _reference_parse(text: str) -> tuple[int, tuple[int, ...]]:
+    """Per-bit graph6 decoder for well-formed input: (n, rows)."""
+    vals = [ord(ch) - 63 for ch in text]
+    if vals[0] == 63:
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+    else:
+        n = vals[0]
+        body = vals[1:]
+    rows = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if body[i // 6] >> (5 - i % 6) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            i += 1
+    return n, tuple(rows)
+
+
+def _both_headers(g) -> list[str]:
+    """g in graph6 with the short size header (n <= 62) and the long one."""
+    text = encode_graph6(g)
+    body = text[len(graph6_header(g.n)) :]
+    long_form = "~" + "".join(chr((g.n >> s & 63) + 63) for s in (12, 6, 0)) + body
+    return [text, long_form] if g.n <= 62 else [long_form]
+
+
+def _random_graph(rng: random.Random, n: int, p: float):
+    return graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def _check_parse(g) -> None:
+    forms = _both_headers(g)
+    for text in forms:
+        got = parse_graph6(text)
+        assert (got.n, got.rows) == _reference_parse(text) == (g.n, g.rows), text
+        assert got.m == g.m
+    assert forms[0].startswith("~") == (g.n > 62)
+
+
+def test_parse_graph6_matches_reference_decoder_exhaustively():
+    """Every labeled graph with n <= 6, every isomorphism class at n = 7
+    and seeded random labeled graphs at n = 7, both header forms."""
+    for n in range(7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _check_parse(graph_from_mask(n, mask))
+    from somborkit.enumeration import all_graphs
+
+    for m in range(22):
+        for g in all_graphs(7, m):
+            _check_parse(g)
+    rng = random.Random(7)
+    for _ in range(2000):
+        _check_parse(graph_from_mask(7, rng.getrandbits(21)))
+
+
+def test_parse_graph6_matches_reference_decoder_on_random_graphs():
+    rng = random.Random(20260)
+    for n in range(8, 65):
+        for _ in range(4):
+            p = rng.random()
+            _check_parse(_random_graph(rng, n, p))
+        _check_parse(complete(n))
+        _check_parse(graph_from_edges(n, []))
+
+
+def _reference_profile(g):
+    """Endpoint-degree pairs, degrees and components, edge by edge."""
+    deg = [0] * g.n
+    edges = [(u, v) for v in range(g.n) for u in range(v) if g.rows[u] >> v & 1]
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    pairs = Counter((min(deg[u], deg[v]), max(deg[u], deg[v])) for u, v in edges)
+    return dict(pairs), tuple(deg), nx.number_connected_components(to_nx(g))
+
+
+def test_edge_stats_matches_per_edge_reference():
+    rng = random.Random(4242)
+    cases = [graph_from_edges(0, []), graph_from_edges(1, []), graph_from_edges(5, [])]
+    cases += [graph_from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]) for k in (1, 3)]
+    cases += [complete(n) for n in range(2, 65)]
+    cases.append(graph_from_edges(9, [(0, 1), (2, 3), (3, 4), (4, 2)]))  # K2, K3, isolated
+    for _ in range(150):
+        n = rng.randint(2, 64)
+        cases.append(_random_graph(rng, n, rng.choice([0.02, 0.1, 0.3, 0.6, 0.95])))
+    for g in cases:
+        stats = edge_stats(g)
+        pairs, deg, components = _reference_profile(g)
+        assert stats.endpoint_degree_counts == pairs
+        assert stats.degrees == deg
+        assert stats.components == components
+        assert (stats.n, stats.m) == (g.n, g.m)
