@@ -400,3 +400,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console-script hook
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

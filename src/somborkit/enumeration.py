@@ -6,38 +6,59 @@ Canonical form
     cells of an iterated degree-refinement partition in ascending color
     order.  The refinement keys are graph-invariant, so the constrained
     minimum is reached by isomorphic graphs and only by them: equal forms
-    iff isomorphic.  The search is a prefix-pruned backtrack.  Two
-    vertices v, w are twins when N(v) - w == N(w) - v (equal open or
-    equal closed neighbourhoods); swapping them is an automorphism that
-    fixes every other vertex.  So once a candidate u has been tried at a
-    position, a later candidate that is a twin of u is skipped: with the
-    placed prefix fixed by the swap, its subtree is the image of u's and
-    yields the same encodings, so the minimum is unchanged.  A star or a
-    complete graph then costs a single root-to-leaf path.  Walking every
-    admissible order stays costly only for twin-free graphs with large
-    automorphism groups that refinement cannot split, such as cycles;
-    the order cap of 10 vertices keeps that feasible.
+    iff isomorphic.  Refinement stops as soon as every vertex has its own
+    color, because a further round leads every key with the current
+    color and so cannot reorder a discrete partition; such a partition
+    admits one order, which is encoded directly.  Otherwise the search is
+    a prefix-pruned backtrack.  Two vertices v, w are twins when
+    N(v) - w == N(w) - v (equal open or equal closed neighbourhoods);
+    swapping them is an automorphism that fixes every other vertex.  So
+    once a candidate u has been tried at a position, a later candidate
+    that is a twin of u is skipped: with the placed prefix fixed by the
+    swap, its subtree is the image of u's and yields the same encodings,
+    so the minimum is unchanged.  A star or a complete graph then costs a
+    single root-to-leaf path.  Walking every admissible order stays
+    costly only for twin-free graphs with large automorphism groups that
+    refinement cannot split, such as cycles; the order cap of 10 vertices
+    keeps that feasible.
+
+    The encoding is one int, the key: b_1, ..., b_{n-1} concatenated with
+    b_1 most significant, where b_p holds the adjacency of the vertex at
+    position p to positions 0..p-1, position 0 most significant.  Each
+    b_p has exactly p bits, so keys of one order compare as the tuples
+    (b_1, ..., b_{n-1}) do, and the key is the graph6 body of the graph
+    in canonical order (column p of the upper triangle is b_p).
 
 Generation
     Graphs with m edges are produced by adding one edge to every
     canonical representative with m-1 edges and deduplicating by
-    canonical form.  A child is canonicalized only if its new edge uv
-    has the largest endpoint-degree sum d(u) + d(v) among the child's
-    edges (ties pass).  This misses no class: the sum is an isomorphism
-    invariant, so deleting a largest-sum edge from any m-edge graph
-    leaves a graph isomorphic to some (m-1)-edge representative, and
-    adding the matching edge back to that representative gives a child
-    that passes.  Deduplication stays global, so correctness needs no
-    orbit argument.  Above the middle level (2m > C(n,2)) a level is the
+    canonical form.  Edges are ranked by the isomorphism invariant
+    (endpoint-degree sum d(u) + d(v), triangle count |N(u) & N(v)|, sum
+    of the degrees of the endpoints' neighbours), compared in that order,
+    and a child is canonicalized only if no child edge outranks its new
+    edge (ties pass).  This misses no class.  Let G have m edges and e be
+    a first-ranked edge of G.  G - e is isomorphic to some (m-1)-edge
+    representative P, by a map f, so P + f(e) is a child isomorphic to G
+    whose new edge f(e) ranks as e does: first.  Any automorphism s of P
+    maps that child to the child P + s(f(e)), with the same ranks, so the
+    rank test passes for every non-edge of the orbit of f(e) under the
+    automorphisms of P.  Of each parent, only one non-edge per orbit of
+    its twin swaps is grown: uv is skipped when u or v has a twin w
+    smaller than itself other than the opposite endpoint.  Swapping w in
+    maps uv to a lexicographically smaller non-edge of the same orbit,
+    so the smallest non-edge of each orbit is never skipped.
+    Deduplication stays global, so no child needs to be the only one of
+    its class.  Above the middle level (2m > C(n,2)) a level is the
     canonical forms of the complements of level C(n,2) - m, so only the
-    lower half is grown edge by edge.  Levels are cached per (n, m) and
-    returned in ascending canonical order, which makes every downstream
-    artifact deterministic regardless of worker count.  With more than
-    one worker, a level with more than four parents (or complements) per
-    worker is built in chunks by one process pool per worker count:
-    children below the middle, complement forms above it.  The pool is
-    started at the first level that needs it and reused by every later
-    level and call in the process; interpreter exit joins its workers.
+    lower half is grown edge by edge.  Levels are cached per (n, m) as
+    tuples of keys, in ascending canonical order, which makes every
+    downstream artifact deterministic regardless of worker count.  With
+    more than one worker, a level with more than four parents (or
+    complements) per worker is built in chunks by one process pool per
+    worker count: children below the middle, complement forms above it.
+    The pool is started at the first level that needs it and reused by
+    every later level and call in the process; interpreter exit joins its
+    workers.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -68,7 +89,12 @@ class AmbiguousMaximumError(RuntimeError):
 
 
 def _wl_partition(n: int, rows: tuple[int, ...]) -> list[int]:
-    """Iterated neighbour-degree refinement; returns invariant color ints."""
+    """Iterated neighbour-degree refinement; returns invariant color ints.
+
+    Stops once the colors are stable or every vertex has its own color:
+    a further round cannot reorder a discrete partition, because the
+    current color leads every refinement key.
+    """
     colors = [rows[v].bit_count() for v in range(n)]
     ncolors = len(set(colors))
     while True:
@@ -83,7 +109,7 @@ def _wl_partition(n: int, rows: tuple[int, ...]) -> list[int]:
             keys.append((colors[v], tuple(sig)))
         palette = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [palette[k] for k in keys]
-        if len(palette) == ncolors:
+        if len(palette) == ncolors or len(palette) == n:
             return colors
         ncolors = len(palette)
 
@@ -100,15 +126,33 @@ def _twin_masks(rows: tuple[int, ...]) -> list[int]:
     return [by_open[row] | by_closed[row | 1 << v] for v, row in enumerate(rows)]
 
 
-def _canonical_bits(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal row-bits encoding (b_1..b_{n-1}) over admissible orders.
+def _canonical_key(n: int, rows: tuple[int, ...]) -> int:
+    """Minimal packed row-bits encoding b_1..b_{n-1} over admissible orders.
 
     b_p holds the adjacency of the vertex at position p to positions
-    0..p-1, earliest position as most significant bit.
+    0..p-1, earliest position as most significant bit; the key is their
+    concatenation, b_1 most significant.
     """
     if n <= 1:
-        return ()
+        return 0
     colors = _wl_partition(n, rows)
+    if max(colors) == n - 1:  # discrete: color c is the vertex at position c
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
+        key = 0
+        earlier = 1 << order[0]
+        for p in range(1, n):
+            v = order[p]
+            nb = rows[v] & earlier
+            b = 0
+            while nb:
+                low = nb & -nb
+                b |= 1 << (p - 1 - colors[low.bit_length() - 1])
+                nb ^= low
+            key = key << p | b
+            earlier |= 1 << v
+        return key
     cells: dict[int, list[int]] = {}
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
@@ -147,17 +191,25 @@ def _canonical_bits(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
             tried |= twins[v]
 
     extend(0)
-    return tuple(best)
+    key = 0
+    for p, b in enumerate(best, start=1):
+        key = key << p | b
+    return key
 
 
-def _rows_from_bits(n: int, bits: tuple[int, ...]) -> tuple[int, ...]:
+def _rows_from_key(n: int, key: int) -> tuple[int, ...]:
+    """Adjacency rows of the order-n graph whose packed encoding is key."""
     rows = [0] * n
+    shift = n * (n - 1) // 2
     for p in range(1, n):
-        b = bits[p - 1]
-        for j in range(p):
-            if b >> (p - 1 - j) & 1:
-                rows[p] |= 1 << j
-                rows[j] |= 1 << p
+        shift -= p
+        b = key >> shift & ((1 << p) - 1)
+        while b:
+            low = b & -b
+            j = p - low.bit_length()
+            rows[p] |= 1 << j
+            rows[j] |= 1 << p
+            b ^= low
     return tuple(rows)
 
 
@@ -166,17 +218,16 @@ class CanonicalForm:
     """Permutation-invariant adjacency encoding; equal iff isomorphic."""
 
     n: int
-    bits: tuple[int, ...]
+    key: int
 
     def to_graph(self) -> Graph:
-        rows = _rows_from_bits(self.n, self.bits)
-        return Graph(self.n, rows, sum(r.bit_count() for r in rows) // 2)
+        return Graph(self.n, _rows_from_key(self.n, self.key), self.key.bit_count())
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > CANON_MAX_N:
         raise ValueError(f"canonical form capped at n <= {CANON_MAX_N}, got n={g.n}")
-    return CanonicalForm(g.n, _canonical_bits(g.n, g.rows))
+    return CanonicalForm(g.n, _canonical_key(g.n, g.rows))
 
 
 def check_scope(n: int, m: int) -> None:
@@ -187,57 +238,111 @@ def check_scope(n: int, m: int) -> None:
         raise ValueError(f"generation capped at n <= {SCOPE_MAX_N}, got n={n}")
 
 
-def _children_of_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> set[tuple[int, ...]]:
+def _children_of_chunk(args: tuple[int, tuple[int, ...]]) -> set[int]:
     """Canonical keys of the children of the parent keys whose new edge uv
-    has the largest endpoint-degree sum in the child.
+    ranks first among the child's edges, trying one non-edge per orbit
+    of twin swaps in each parent.
 
-    Every other child edge keeps its parent sum or gains 1 (it can share
-    at most one endpoint with uv), so with t = d(u) + d(v) + 2 in the
-    child and M the largest parent sum, uv is a largest-sum edge iff
-    t > M, or t == M and no parent edge of sum M touches u or v.  Each
-    isomorphism class has such an edge, so the filter loses no class.
+    The rank of an edge is (endpoint-degree sum, triangle count, sum of
+    the endpoints' neighbour degrees).  Every other child edge keeps its
+    parent sum or gains 1 (it can share at most one endpoint with uv), so
+    with t = d(u) + d(v) + 2 in the child and M the largest parent sum,
+    uv has the largest sum iff t > M, or t == M and no parent edge of sum
+    M touches u or v.  The edges that can tie with it on the sum are the
+    parent edges of sum t away from u and v and those of sum t - 1 at u
+    or v; only those are ranked further.
     """
     n, chunk = args
-    out: set[tuple[int, ...]] = set()
-    for bits in chunk:
-        rows = _rows_from_bits(n, bits)
+    out: set[int] = set()
+    for key in chunk:
+        rows = _rows_from_key(n, key)
         deg = [r.bit_count() for r in rows]
-        top = -1
-        hot = 0  # endpoints of the edges of sum top
+        nsum = [0] * n  # the sum of each vertex's neighbours' degrees
+        by_sum: dict[int, list[tuple[int, int]]] = {}
         for x in range(n):
             for y in range(x + 1, n):
                 if rows[x] >> y & 1:
-                    s = deg[x] + deg[y]
-                    if s > top:
-                        top, hot = s, 0
-                    if s == top:
-                        hot |= 1 << x | 1 << y
+                    by_sum.setdefault(deg[x] + deg[y], []).append((x, y))
+                    nsum[x] += deg[y]
+                    nsum[y] += deg[x]
+        twins = _twin_masks(rows)
+        top = max(by_sum, default=-1)
+        at_top = by_sum.get(top, [])
+        below_top = by_sum.get(top - 1, [])
+        hot = 0  # endpoints of the edges of sum top
+        for x, y in at_top:
+            hot |= 1 << x | 1 << y
         for u in range(n):
+            if twins[u] & ((1 << u) - 1):
+                continue  # a swap with a smaller twin maps uv to a smaller pair
             for v in range(u + 1, n):
-                if rows[u] >> v & 1:
+                if rows[u] >> v & 1 or twins[v] & ~(1 << u) & ((1 << v) - 1):
                     continue
                 t = deg[u] + deg[v] + 2
-                if t < top or (t == top and hot & (1 << u | 1 << v)):
+                ends = 1 << u | 1 << v
+                if t < top or (t == top and hot & ends):
                     continue
+                if t == top:
+                    rivals = at_top + [e for e in below_top if ends & (1 << e[0] | 1 << e[1])]
+                elif t == top + 1:
+                    rivals = [e for e in at_top if ends & (1 << e[0] | 1 << e[1])]
+                else:
+                    rivals = []
                 grown = list(rows)
                 grown[u] |= 1 << v
                 grown[v] |= 1 << u
-                out.add(_canonical_bits(n, tuple(grown)))
+                if rivals and _outranked(rows, grown, deg, nsum, u, v, rivals):
+                    continue
+                out.add(_canonical_key(n, tuple(grown)))
     return out
 
 
-def _complement_keys(args: tuple[int, tuple[tuple[int, ...], ...]]) -> list[tuple[int, ...]]:
+def _outranked(
+    rows: tuple[int, ...],
+    grown: list[int],
+    deg: list[int],
+    nsum: list[int],
+    u: int,
+    v: int,
+    rivals: list[tuple[int, int]],
+) -> bool:
+    """Whether a child edge of ``rivals`` (all tied with the new edge uv
+    on the degree sum) has more triangles than uv in the child ``grown``,
+    or as many and a larger sum of its endpoints' neighbour degrees.
+    ``deg`` and ``nsum`` are the parent's degrees and neighbour-degree
+    sums; in the child u and v each gain one neighbour and one degree."""
+    ends = 1 << u | 1 << v
+
+    def child_nsum(w: int) -> int:
+        gained = deg[u + v - w] + 1 if ends >> w & 1 else 0
+        return nsum[w] + (rows[w] & ends).bit_count() + gained
+
+    triangles = (rows[u] & rows[v]).bit_count()
+    mine = -1
+    for x, y in rivals:
+        theirs = (grown[x] & grown[y]).bit_count()
+        if theirs > triangles:
+            return True
+        if theirs == triangles:
+            if mine < 0:
+                mine = child_nsum(u) + child_nsum(v)
+            if child_nsum(x) + child_nsum(y) > mine:
+                return True
+    return False
+
+
+def _complement_keys(args: tuple[int, tuple[int, ...]]) -> list[int]:
     """Canonical keys of the complements of the given keys."""
     n, chunk = args
     full = (1 << n) - 1
     out = []
-    for bits in chunk:
-        rows = _rows_from_bits(n, bits)
-        out.append(_canonical_bits(n, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows))))
+    for key in chunk:
+        rows = _rows_from_key(n, key)
+        out.append(_canonical_key(n, tuple(full ^ r ^ 1 << v for v, r in enumerate(rows))))
     return out
 
 
-_level_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_level_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 _pools: dict[int, ProcessPoolExecutor] = {}
 
 
@@ -250,9 +355,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _map_chunks(
-    fn: Callable, n: int, keys: tuple[tuple[int, ...], ...], workers: int
-) -> list:
+def _map_chunks(fn: Callable, n: int, keys: tuple[int, ...], workers: int) -> list:
     """``fn((n, chunk))`` over chunks of ``keys``, in the pool when there
     are more than four keys per worker, else one call in this process."""
     if workers > 1 and len(keys) > 4 * workers:
@@ -266,7 +369,7 @@ def _map_chunks(
     return [fn((n, keys))]
 
 
-def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
+def _level(n: int, m: int, workers: int = 1) -> tuple[int, ...]:
     """Sorted canonical keys of all isomorphism classes with n vertices,
     m edges.  Levels above the middle are complements of lower ones."""
     key = (n, m)
@@ -275,7 +378,7 @@ def _level(n: int, m: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
         return cached
     slots = n * (n - 1) // 2
     if m == 0:
-        result: tuple[tuple[int, ...], ...] = ((0,) * max(n - 1, 0),)
+        result: tuple[int, ...] = (0,)
     elif 2 * m > slots:
         parts = _map_chunks(_complement_keys, n, _level(n, slots - m, workers), workers)
         result = tuple(sorted(k for part in parts for k in part))
@@ -292,7 +395,7 @@ def all_graphs(
     """One canonical representative per isomorphism class of (n, m)-graphs,
     in ascending canonical order."""
     check_scope(n, m)
-    graphs = [CanonicalForm(n, bits).to_graph() for bits in _level(n, m, workers)]
+    graphs = [CanonicalForm(n, key).to_graph() for key in _level(n, m, workers)]
     if not allow_disconnected:
         graphs = [g for g in graphs if is_connected(g)]
     return graphs

@@ -18,7 +18,11 @@ graph6 codec
     characters only, exact body length, zero padding) and raises
     ``Graph6Error`` otherwise.  ``encode_graph6`` writes the standard
     form back, with the short size header whenever n <= 62
-    (``graph6_header``).
+    (``graph6_header``), and without a per-bit loop either: the low part
+    of each row, packed into one int, is the body with its bits
+    reversed; one ``bytes.translate`` reverses them back, and the body
+    is written as base64 digits, six bits each like graph6's, mapped to
+    graph6 characters by another translate.
 
 Degree profile
     ``edge_stats`` returns what every index and bound reads: the
@@ -30,6 +34,7 @@ Degree profile
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -248,26 +253,42 @@ def graph6_header(n: int) -> str:
     return "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
 
 
+# bytes.translate table reversing the bit order within each byte
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# bytes.translate table from base64 digit i to the graph6 character i + 63
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
+def _graph6_body(g: Graph) -> int:
+    """The body bits x(0,1), x(0,2), x(1,2), x(0,3), ... as one binary
+    number, x(0,1) most significant."""
+    n = g.n
+    nbits = n * (n - 1) // 2
+    # bit u of row v (u < v) goes to bit v(v-1)/2 + u: the body reversed
+    reversed_body = 0
+    for v in range(n - 1, 0, -1):
+        reversed_body = reversed_body << v | g.rows[v] & ((1 << v) - 1)
+    size = (nbits + 7) // 8
+    raw = reversed_body.to_bytes(size, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "big") >> (8 * size - nbits)
+
+
+def _graph6_from_body(n: int, body: int) -> str:
+    """graph6 text of order n with the given body bits (see
+    ``_graph6_body``).  The zero-padded bytes are written as base64, whose
+    first ceil(nbits / 6) digits are the body's six-bit groups."""
+    nbits = n * (n - 1) // 2
+    size = (nbits + 7) // 8
+    digits = b2a_base64((body << (8 * size - nbits)).to_bytes(size, "big"), newline=False)
+    return graph6_header(n) + digits[: (nbits + 5) // 6].translate(_BASE64_TO_GRAPH6).decode()
+
+
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supported for n <= {GRAPH6_MAX_N}, got n={g.n}")
-    n = g.n
-    out = [graph6_header(n)]
-    acc = 0
-    nbits = 0
-    for v in range(1, n):
-        col = g.rows[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    return _graph6_from_body(g.n, _graph6_body(g))
 
 
 # str.translate table: each graph6 character to its six bits, MSB first

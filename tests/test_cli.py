@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import somborkit
 from somborkit.cli import main
 from somborkit.families import h_graph, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
@@ -188,6 +193,29 @@ def test_verify_bounds_prints_long_headers_in_short_form(monkeypatch, capsys):
     rows = out.splitlines()[1:3]
     assert [row.split(",")[1] for row in rows] == [short, encode_graph6(big)]
     assert encode_graph6(big).startswith("~")
+
+
+@pytest.mark.parametrize("module", ["somborkit", "somborkit.cli"])
+def test_runs_as_a_module(module):
+    """``python -m somborkit`` and ``python -m somborkit.cli`` run the CLI."""
+    src = str(Path(somborkit.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", module, "enumerate", "--n", "3", "--universe", "all"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "B?\nBG\nBW\nBw\n", "")
+    done = subprocess.run(
+        [sys.executable, "-m", module, "enumerate", "--n", "11"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
 
 
 def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):

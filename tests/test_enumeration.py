@@ -21,7 +21,7 @@ from somborkit.enumeration import (
     extremal_search,
 )
 from somborkit.families import complete, cycle, h_graph, max_sombor_value, path, star
-from somborkit.graphs import graph_from_edges, is_connected
+from somborkit.graphs import Graph, _graph6_from_body, encode_graph6, graph_from_edges, is_connected
 
 from conftest import (
     aut_count,
@@ -141,27 +141,149 @@ def test_orbit_counting_identity_n8(m):
 
 
 def test_generation_prunes_canonical_calls(monkeypatch):
-    """The max-degree-sum filter and the complement rule keep the full
-    n = 8 sweep far below the 172,844 canonicalizations of growing every
-    one-edge extension, and an upper level builds only its complement's
-    chain."""
+    """The edge-rank filter, the twin-orbit rule and the complement rule
+    keep the full n = 8 sweep far below the 172,844 canonicalizations of
+    growing every one-edge extension (13,989 when written), and an upper
+    level builds only its complement's chain."""
     enumeration._level_cache.clear()
     all_graphs(8, 27)
     assert set(enumeration._level_cache) == {(8, 0), (8, 1), (8, 27)}
 
     calls = 0
-    canonical_bits = enumeration._canonical_bits
+    canonical_key = enumeration._canonical_key
 
     def counted(n, rows):
         nonlocal calls
         calls += 1
-        return canonical_bits(n, rows)
+        return canonical_key(n, rows)
 
-    monkeypatch.setattr(enumeration, "_canonical_bits", counted)
+    monkeypatch.setattr(enumeration, "_canonical_key", counted)
     enumeration._level_cache.clear()
     for m in range(29):
         all_graphs(8, m)
-    assert calls < 30_000
+    assert calls < 15_000
+
+
+def _unfiltered_levels(n):
+    """Canonical keys of every level of order n, each level grown from the
+    one below by canonicalizing every one-edge extension of every class:
+    no edge filter, no orbit pruning and no complements."""
+    levels = [{canonical_form(Graph(n, (0,) * n, 0)).key}]
+    for m in range(1, n * (n - 1) // 2 + 1):
+        level = set()
+        for key in levels[-1]:
+            rows = CanonicalForm(n, key).to_graph().rows
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if not rows[u] >> v & 1:
+                        grown = list(rows)
+                        grown[u] |= 1 << v
+                        grown[v] |= 1 << u
+                        level.add(canonical_form(Graph(n, tuple(grown), m)).key)
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_generation_loses_no_class(n):
+    """Every level with n <= 7 equals the unfiltered growth."""
+    for m, level in enumerate(_unfiltered_levels(n)):
+        assert enumeration._level(n, m) == tuple(sorted(level)), (n, m)
+
+
+def _reference_canonical_bits(n, rows):
+    """The row-bits tuple (b_1, ..., b_{n-1}) minimal over the orders that
+    list the cells of the stable neighbour-degree refinement in color
+    order: refinement to a stable partition (no discrete shortcut), then
+    the prefix-pruned backtrack, skipping twins of tried candidates."""
+    if n <= 1:
+        return ()
+    colors = [rows[v].bit_count() for v in range(n)]
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[w] for w in range(n) if rows[v] >> w & 1)))
+            for v in range(n)
+        ]
+        palette = {k: i for i, k in enumerate(sorted(set(keys)))}
+        refined = [palette[k] for k in keys]
+        if len(palette) == len(set(colors)):
+            break
+        colors = refined
+    twins = [
+        sum(1 << w for w in range(n) if rows[v] & ~(1 << w) == rows[w] & ~(1 << v))
+        for v in range(n)
+    ]
+    pos_color = sorted(colors)
+    best = [None] * (n - 1)
+    placed = []
+
+    def extend(p):
+        if p == n:
+            return
+        cands = sorted(
+            (sum((rows[v] >> placed[j] & 1) << (p - 1 - j) for j in range(p)), v)
+            for v in range(n)
+            if colors[v] == pos_color[p] and v not in placed
+        )
+        tried = 0
+        for b, v in cands:
+            if p and best[p - 1] is not None and b > best[p - 1]:
+                break
+            if tried >> v & 1:
+                continue
+            if p and (best[p - 1] is None or b < best[p - 1]):
+                best[p - 1 :] = [b] + [None] * (n - 1 - p)
+            placed.append(v)
+            extend(p + 1)
+            placed.pop()
+            tried |= twins[v]
+
+    extend(0)
+    return tuple(best)
+
+
+def _pack(bits):
+    key = 0
+    for p, b in enumerate(bits, start=1):
+        key = key << p | b
+    return key
+
+
+def test_canonical_form_matches_reference():
+    """Every class with n <= 7, and seeded relabelings of a sample of the
+    n = 8 and n = 9 classes, partitions discrete or not: the packed key is
+    the reference tuple's concatenation, and both sort alike."""
+    rng = random.Random(20261018)
+    cases = [g for n in range(8) for m in range(n * (n - 1) // 2 + 1) for g in all_graphs(n, m)]
+    for n, levels in ((8, range(29)), (9, range(13))):
+        for m in levels:
+            classes = all_graphs(n, m)
+            for g in rng.sample(classes, min(len(classes), 40)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                cases.append(relabel(g, perm))
+    discrete = 0
+    by_order = {}
+    for g in cases:
+        bits = _reference_canonical_bits(g.n, g.rows)
+        key = canonical_form(g).key
+        assert key == _pack(bits)
+        by_order.setdefault(g.n, []).append((bits, key))
+        discrete += g.n > 1 and max(enumeration._wl_partition(g.n, g.rows)) == g.n - 1
+    assert discrete > 300 and len(cases) - discrete > 300, (discrete, len(cases))
+    for n, pairs in by_order.items():
+        keys = [key for _, key in sorted(pairs)]
+        assert keys == sorted(keys), n
+
+
+def test_graph6_of_a_key_is_the_encoded_graph():
+    """A canonical key is the graph6 body of its graph, for every class
+    with n <= 8."""
+    for n in range(9):
+        for m in range(n * (n - 1) // 2 + 1):
+            for key in enumeration._level(n, m):
+                form = CanonicalForm(n, key)
+                assert _graph6_from_body(n, key) == encode_graph6(form.to_graph())
 
 
 def _backtrack_nodes(g):

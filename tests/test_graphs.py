@@ -264,6 +264,17 @@ def _reference_parse(text: str) -> tuple[int, tuple[int, ...]]:
     return n, tuple(rows)
 
 
+def _reference_encode(g) -> str:
+    """Per-bit graph6 encoder: the body bits column by column, six to a
+    character."""
+    bits = [g.rows[v] >> u & 1 for v in range(g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = "".join(
+        chr(63 + int("".join(map(str, bits[i : i + 6])), 2)) for i in range(0, len(bits), 6)
+    )
+    return graph6_header(g.n) + body
+
+
 def _both_headers(g) -> list[str]:
     """g in graph6 with the short size header (n <= 62) and the long one."""
     text = encode_graph6(g)
@@ -278,6 +289,7 @@ def _random_graph(rng: random.Random, n: int, p: float):
 
 def _check_parse(g) -> None:
     forms = _both_headers(g)
+    assert forms[0] == _reference_encode(g)
     for text in forms:
         got = parse_graph6(text)
         assert (got.n, got.rows) == _reference_parse(text) == (g.n, g.rows), text
