@@ -199,22 +199,20 @@ def test_verify_bounds_prints_long_headers_in_short_form(monkeypatch, capsys):
 def test_runs_as_a_module(module):
     """``python -m somborkit`` and ``python -m somborkit.cli`` run the CLI."""
     src = str(Path(somborkit.__file__).parent.parent)
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-m", module, "enumerate", "--n", "3", "--universe", "all"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    done = run_module("enumerate", "--n", "3", "--universe", "all")
     assert (done.returncode, done.stdout, done.stderr) == (0, "B?\nBG\nBW\nBw\n", "")
-    done = subprocess.run(
-        [sys.executable, "-m", module, "enumerate", "--n", "11"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = run_module("enumerate", "--n", "11")
     assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
 
 

@@ -21,7 +21,13 @@ from somborkit.enumeration import (
     extremal_search,
 )
 from somborkit.families import complete, cycle, h_graph, max_sombor_value, path, star
-from somborkit.graphs import Graph, _graph6_from_body, encode_graph6, graph_from_edges, is_connected
+from somborkit.graphs import (
+    Graph,
+    _graph6_from_body,
+    encode_graph6,
+    graph_from_edges,
+    is_connected,
+)
 
 from conftest import (
     aut_count,
