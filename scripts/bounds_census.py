@@ -40,10 +40,11 @@ def main() -> int:
     print("=" * 86)
 
     connected = universe(args.n_max, True)
-    everything = universe(min(args.n_max, 6), False)
+    full_n_max = min(args.n_max, 6)
+    everything = universe(full_n_max, False)
     print(
         f"  universes: {len(connected)} connected classes (n<={args.n_max}),"
-        f" {len(everything)} total classes (n<=6)"
+        f" {len(everything)} total classes (n<={full_n_max})"
     )
 
     jobs = [

@@ -13,36 +13,33 @@ anomaly, parse error, or cap breach occurred.
 
 Input is read one line at a time: ``verify-bounds --input`` parses and
 checks each graph before reading the next, and prints its report (or, on
-a malformed line, only the error) at the end.  ``enumerate`` checks every
-requested level first and then writes each line as its level is built.
+a malformed line, only the error) at the end.  ``enumerate`` and
+``verify-bounds --n`` check every requested level before building any,
+and ``enumerate`` writes each line as its level is built.
+``verify-extremal`` prints the verdict ``extremal_search`` gives each
+cell and builds no verdict of its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import nullcontext
+from dataclasses import fields
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator
 
-from .bounds import BOUND_GROUPS, GraphRecord, run_suite
+from .bounds import BoundReport, GraphRecord, run_suite
 from .enumeration import (
     AmbiguousMaximumError,
     all_graphs,
-    canonical_form,
     check_scope,
     connected_graphs,
     extremal_search,
 )
-from .families import FamilySpec, h_graph
-from .graphs import (
-    Graph,
-    Graph6Error,
-    edge_stats,
-    encode_graph6,
-    graph6_header,
-    parse_graph6,
-)
-from .indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
+from .families import FAMILIES
+from .graphs import Graph, Graph6Error, encode_graph6, graph6_header, parse_graph6
 
 
 def _fmt(value) -> str:
@@ -57,13 +54,11 @@ def _csv_line(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line to a file, or to stdout for "-", as it is produced."""
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w") as out:
+        for line in lines:
+            print(line, file=out)
 
 
 def _read_lines(path: str) -> Iterator[str]:
@@ -93,69 +88,50 @@ def _parse_range(text: str) -> tuple[int, int]:
 COMPUTE_HEADER = "graph6,n,m,nu,so,so_red,so_shifted,m1"
 
 
-def _compute_row(g: Graph, g6: str) -> str:
-    stats = edge_stats(g)
-    nu = g.m - g.n + stats.components
-    m1 = float(first_zagreb(stats))
+def _compute_row(rec: GraphRecord) -> str:
+    g = rec.graph
+    nu = g.m - g.n + rec.stats.components
     return _csv_line(
-        [g6, g.n, g.m, nu, sombor(stats), reduced_sombor(stats), sombor_shifted(stats), m1]
+        [rec.graph6, g.n, g.m, nu, rec.so, rec.so_red, rec.so_shifted, float(rec.m1)]
     )
 
 
 def cmd_compute(args) -> int:
-    lines = _read_lines(args.input)
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
+    for lineno, rec in _input_records(args.input):
         try:
-            g = parse_graph6(text)
-            rows.append(_compute_row(g, text))
-        except (Graph6Error, ValueError) as exc:
+            rows.append(_compute_row(rec))
+        except ValueError as exc:  # the indices are undefined on the order-0 graph
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return 1
-    with _open_out(args.output) as out:
-        print(COMPUTE_HEADER, file=out)
-        for row in rows:
-            print(row, file=out)
+    _write_lines(args.output, [COMPUTE_HEADER, *rows])
     return 0
+
+
+def _construct_usage() -> str:
+    """One usage form per parameter list, kinds sharing one in braces."""
+    kinds_of: dict[tuple[str, ...], list[str]] = {}
+    for kind, (_, names) in FAMILIES.items():
+        kinds_of.setdefault(names, []).append(kind)
+    forms = []
+    for names, kinds in kinds_of.items():
+        head = kinds[0] if len(kinds) == 1 else "{" + "|".join(kinds) + "}"
+        forms.append(" ".join([head, *(name.upper() for name in names)]))
+    return "usage: construct " + " | ".join(forms)
 
 
 def cmd_construct(args) -> int:
-    kind = args.family
-    params = args.params
+    builder, names = FAMILIES[args.family]
     try:
-        if kind == "h_graph":
-            if len(params) != 2:
-                raise ValueError("h_graph takes: n nu")
-            spec = FamilySpec("h_graph", params[0], nu=params[1])
-        elif kind == "star_plus_isolated":
-            if len(params) != 2:
-                raise ValueError("star_plus_isolated takes: m n")
-            spec = FamilySpec("star_plus_isolated", params[1], m=params[0])
-        else:
-            if len(params) != 1:
-                raise ValueError(f"{kind} takes: n")
-            spec = FamilySpec(kind, params[0])
-        g = spec.build()
+        if len(args.params) != len(names):
+            raise ValueError(f"{args.family} takes: {' '.join(names)}")
+        g = builder(*args.params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(
-            "usage: construct {path|cycle|star|complete|empty} N"
-            " | h_graph N NU | star_plus_isolated M N",
-            file=sys.stderr,
-        )
+        print(_construct_usage(), file=sys.stderr)
         return 2
-    with _open_out(args.output) as out:
-        print(encode_graph6(g), file=out)
+    _write_lines(args.output, [encode_graph6(g)])
     return 0
-
-
-def _universe_for(n: int, ms, connected_only: bool, workers: int):
-    builder = connected_graphs if connected_only else all_graphs
-    for m in ms:
-        yield from builder(n, m, workers=workers)
 
 
 def _m_values(args, n: int) -> list[int]:
@@ -168,26 +144,34 @@ def _m_values(args, n: int) -> list[int]:
     return list(range(0, n * (n - 1) // 2 + 1))
 
 
-def cmd_enumerate(args) -> int:
+def _levels(args) -> list[tuple[int, list[int]]]:
+    """(n, edge counts) for each requested order; every level is checked
+    before any is built."""
     n_lo, n_hi = _parse_range(args.n)
-    connected_only = args.universe == "connected"
-    csv = args.format == "csv"
-    # every requested level is checked before the first line is written
-    levels = []
-    for n in range(n_lo, n_hi + 1):
-        ms = _m_values(args, n)
+    levels = [(n, _m_values(args, n)) for n in range(n_lo, n_hi + 1)]
+    for n, ms in levels:
         for m in ms:
             check_scope(n, m)
-        if csv and n == 0 and ms and not connected_only:
-            raise ValueError("index undefined on the order-0 graph")
-        levels.append((n, ms))
-    with _open_out(args.output) as out:
-        if csv:
-            print(COMPUTE_HEADER, file=out)
-        for n, ms in levels:
-            for g in _universe_for(n, ms, connected_only, args.workers):
-                g6 = encode_graph6(g)
-                print(_compute_row(g, g6) if csv else g6, file=out)
+    return levels
+
+
+def _universe(args, levels: list[tuple[int, list[int]]]) -> Iterator[Graph]:
+    builder = connected_graphs if args.universe == "connected" else all_graphs
+    for n, ms in levels:
+        for m in ms:
+            yield from builder(n, m, workers=args.workers)
+
+
+def cmd_enumerate(args) -> int:
+    levels = _levels(args)
+    graphs = _universe(args, levels)
+    if args.format == "graph6":
+        _write_lines(args.output, map(encode_graph6, graphs))
+        return 0
+    if args.universe == "all" and any(n == 0 and ms for n, ms in levels):
+        raise ValueError("index undefined on the order-0 graph")
+    rows = (_compute_row(GraphRecord(g)) for g in graphs)
+    _write_lines(args.output, chain([COMPUTE_HEADER], rows))
     return 0
 
 
@@ -196,51 +180,46 @@ EXTREMAL_HEADER = "n,nu,universe_size,max_value,unique,gap,maximizer_graph6"
 
 def cmd_verify_extremal(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
+    cells = []
+    for n in range(n_lo, n_hi + 1):
+        nu_lo, nu_hi = (0, n - 2) if args.nu is None else _parse_range(args.nu)
+        cells.extend((n, nu) for nu in range(nu_lo, min(nu_hi, n - 2) + 1))
+    if not cells:
+        raise ValueError("no (n, nu) cell with 0 <= nu <= n-2 in the requested range")
     failures = 0
     rows = []
-    for n in range(n_lo, n_hi + 1):
-        if args.nu is not None:
-            nu_lo, nu_hi = _parse_range(args.nu)
-        else:
-            nu_lo, nu_hi = 0, n - 2
-        for nu in range(nu_lo, min(nu_hi, n - 2) + 1):
-            try:
-                report = extremal_search(n, nu, args.index, workers=args.workers)
-            except AmbiguousMaximumError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            expected = canonical_form(h_graph(n, nu))
-            is_h = all(canonical_form(g) == expected for g in report.maximizers)
-            if not report.unique or not is_h:
-                failures += 1
-            rows.append(
-                _csv_line(
-                    [
-                        n,
-                        nu,
-                        report.universe_size,
-                        report.max_value,
-                        report.unique,
-                        report.runner_up_gap,
-                        ";".join(encode_graph6(g) for g in report.maximizers),
-                    ]
-                )
+    for n, nu in cells:
+        try:
+            report = extremal_search(n, nu, args.index, workers=args.workers)
+        except AmbiguousMaximumError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        failures += not report.confirms_h
+        rows.append(
+            _csv_line(
+                [
+                    n,
+                    nu,
+                    report.universe_size,
+                    report.max_value,
+                    report.unique,
+                    report.runner_up_gap,
+                    ";".join(encode_graph6(g) for g in report.maximizers),
+                ]
             )
-    with _open_out(args.output) as out:
-        print(EXTREMAL_HEADER, file=out)
-        for row in rows:
-            print(row, file=out)
+        )
+    _write_lines(args.output, [EXTREMAL_HEADER, *rows])
     if failures:
         print(f"error: {failures} cell(s) without a unique h_graph maximizer", file=sys.stderr)
         return 1
     return 0
 
 
-def _input_records(path: str) -> Iterator[GraphRecord]:
-    """One record per non-blank graph6 line, parsed as it is read.  The
-    record keeps the line's text, with a long size header shortened when
-    n <= 62, as ``encode_graph6`` would write it.  A malformed line raises
-    ``Graph6Error`` naming its line number."""
+def _input_records(path: str) -> Iterator[tuple[int, GraphRecord]]:
+    """(line number, record) per non-blank graph6 line, parsed as it is
+    read.  The record keeps the line's text, with a long size header
+    shortened when n <= 62, as ``encode_graph6`` would write it.  A
+    malformed line raises ``Graph6Error`` naming its line number."""
     for lineno, raw in enumerate(_read_lines(path), start=1):
         text = raw.strip()
         if not text:
@@ -251,78 +230,38 @@ def _input_records(path: str) -> Iterator[GraphRecord]:
             raise Graph6Error(f"line {lineno}: {exc}") from None
         if text[0] == "~" and g.n <= 62:
             text = graph6_header(g.n) + text[4:]
-        yield GraphRecord(g, text)
+        yield lineno, GraphRecord(g, text)
 
 
 BOUNDS_HEADER = "bound_id,graph6,lhs,rhs,slack,holds,equality,class_match,vacuous"
 SUMMARY_HEADER = "graphs,reports,holds,equality,vacuous,violations,anomalies"
+# a report's CSV columns are its fields, in order
+_report_columns = attrgetter(*(f.name for f in fields(BoundReport)))
 
 
 def cmd_verify_bounds(args) -> int:
-    if args.bounds == ["all"]:
-        selection = None
-    else:
-        selection = args.bounds
-        unknown = [b for b in selection if b not in BOUND_GROUPS]
-        if unknown:
-            print(
-                f"error: unknown bound id(s) {unknown}; known: {sorted(BOUND_GROUPS)}",
-                file=sys.stderr,
-            )
-            return 2
+    selection = None if args.bounds == ["all"] else args.bounds
     if args.input is not None:
-        graphs = _input_records(args.input)
+        graphs = (rec for _, rec in _input_records(args.input))
     elif args.n is None:
         print("error: need --input or --n with --universe", file=sys.stderr)
         return 2
     else:
-        n_lo, n_hi = _parse_range(args.n)
-        connected_only = args.universe == "connected"
-        graphs = (
-            g
-            for n in range(n_lo, n_hi + 1)
-            for g in _universe_for(n, _m_values(args, n), connected_only, args.workers)
-        )
-    try:
-        reports, summary = run_suite(graphs, selection)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with _open_out(args.output) as out:
-        print(BOUNDS_HEADER, file=out)
-        for r in reports:
-            print(
-                _csv_line(
-                    [
-                        r.bound_id,
-                        r.graph6,
-                        r.lhs,
-                        r.rhs,
-                        r.slack,
-                        r.holds,
-                        r.equality,
-                        r.equality_class_match,
-                        r.vacuous,
-                    ]
-                ),
-                file=out,
-            )
-        print("", file=out)
-        print(SUMMARY_HEADER, file=out)
-        print(
-            _csv_line(
-                [
-                    summary.graphs,
-                    summary.reports,
-                    summary.holds,
-                    summary.equality,
-                    summary.vacuous,
-                    len(summary.violations),
-                    len(summary.anomalies),
-                ]
-            ),
-            file=out,
-        )
+        graphs = _universe(args, _levels(args))
+    reports, summary = run_suite(graphs, selection)
+    tallies = [
+        summary.graphs,
+        summary.reports,
+        summary.holds,
+        summary.equality,
+        summary.vacuous,
+        len(summary.violations),
+        len(summary.anomalies),
+    ]
+    rows = (_csv_line(_report_columns(r)) for r in reports)
+    _write_lines(
+        args.output, chain([BOUNDS_HEADER], rows, ["", SUMMARY_HEADER, _csv_line(tallies)])
+    )
     if not summary.ok:
         print(
             f"error: {len(summary.violations)} violation(s),"
@@ -331,6 +270,12 @@ def cmd_verify_bounds(args) -> int:
         )
         return 1
     return 0
+
+
+def _add_edge_range(p: argparse.ArgumentParser) -> None:
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument("--m", default=None, help="edge count or range A..B")
+    levels.add_argument("--nu", default=None, help="cyclomatic number or range A..B")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,18 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("construct", help="emit a named family as graph6")
-    p.add_argument(
-        "family",
-        choices=["path", "cycle", "star", "complete", "empty", "h_graph", "star_plus_isolated"],
-    )
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("enumerate", help="isomorph-free graph universes")
     p.add_argument("--n", required=True, help="order or range A..B")
-    p.add_argument("--m", default=None, help="edge count or range A..B")
-    p.add_argument("--nu", default=None, help="cyclomatic number or range A..B")
+    _add_edge_range(p)
     p.add_argument("--universe", choices=["connected", "all"], default="connected")
     p.add_argument("--format", choices=["graph6", "csv"], default="graph6")
     p.add_argument("--workers", type=int, default=1)
@@ -373,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_extremal)
 
     p = sub.add_parser("verify-bounds", help="bound checks over a universe or file")
-    p.add_argument("--input", default=None, help="graph6 lines file or - for stdin")
-    p.add_argument("--n", default=None, help="order or range A..B (generated universe)")
-    p.add_argument("--m", default=None, help="edge count or range A..B")
-    p.add_argument("--nu", default=None, help="cyclomatic number or range A..B")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None, help="graph6 lines file or - for stdin")
+    source.add_argument("--n", default=None, help="order or range A..B (generated universe)")
+    _add_edge_range(p)
     p.add_argument("--universe", choices=["connected", "all"], default="connected")
     p.add_argument("--bounds", nargs="+", default=["all"], help="bound ids or 'all'")
     p.add_argument("--workers", type=int, default=1)
@@ -393,6 +334,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
+    except Graph6Error as exc:  # a malformed input line, named in the message
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,6 +71,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
 
+from .families import h_graph, max_reduced_sombor_value, max_sombor_value
 from .graphs import Graph, is_connected, max_degree
 from .indices import edge_sum, reduced_sombor, sombor
 
@@ -389,25 +390,26 @@ def _level(n: int, m: int, workers: int = 1) -> tuple[int, ...]:
     return result
 
 
-def all_graphs(
-    n: int, m: int, allow_disconnected: bool = True, workers: int = 1
-) -> list[Graph]:
+def all_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
     """One canonical representative per isomorphism class of (n, m)-graphs,
     in ascending canonical order."""
     check_scope(n, m)
-    graphs = [CanonicalForm(n, key).to_graph() for key in _level(n, m, workers)]
-    if not allow_disconnected:
-        graphs = [g for g in graphs if is_connected(g)]
-    return graphs
+    return [CanonicalForm(n, key).to_graph() for key in _level(n, m, workers)]
 
 
 def connected_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
-    return all_graphs(n, m, allow_disconnected=False, workers=workers)
+    return [g for g in all_graphs(n, m, workers=workers) if is_connected(g)]
 
 
 INDEX_FUNCTIONS: dict[str, Callable[[Graph], float]] = {
     "so": sombor,
     "sored": reduced_sombor,
+}
+
+# the maximum of each named index over a cell, attained by h_graph(n, nu)
+CLOSED_FORMS: dict[str, Callable[[int, int], float]] = {
+    "so": max_sombor_value,
+    "sored": max_reduced_sombor_value,
 }
 
 
@@ -417,7 +419,12 @@ class ExtremalReport:
 
     ``max_degree_all_maximizers`` is the smallest maximum degree among the
     maximizers; it equals n-1 exactly when every maximizer has a
-    dominating vertex.
+    dominating vertex.  ``confirms_h`` is the verdict on the cell: the
+    maximizer is unique, isomorphic to h_graph(n, nu), and ``max_value``
+    matches the closed form within ``VALUE_TIE_TOL`` (for a callable term,
+    the term's value on h_graph).  Two more checks follow from it: h_graph
+    has a dominating vertex, and a unique maximizer whose runner-up gap is
+    at most ``UNIQUENESS_GAP`` raises ``AmbiguousMaximumError`` instead.
     """
 
     n: int
@@ -429,6 +436,7 @@ class ExtremalReport:
     runner_up_gap: float
     unique: bool
     max_degree_all_maximizers: int
+    confirms_h: bool
 
 
 def extremal_search(
@@ -447,15 +455,18 @@ def extremal_search(
         raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
     m = n - 1 + nu
     check_scope(n, m)
+    h = h_graph(n, nu)
     if callable(index):
         term = index
         value_of = lambda g: edge_sum(g, term)  # noqa: E731
         label = getattr(index, "__name__", "custom")
+        expected = value_of(h)
     else:
         if index not in INDEX_FUNCTIONS:
             raise ValueError(f"unknown index {index!r} (one of {sorted(INDEX_FUNCTIONS)})")
         value_of = INDEX_FUNCTIONS[index]
         label = index
+        expected = CLOSED_FORMS[index](n, nu)
     universe = connected_graphs(n, m, workers=workers)
     if not universe:
         raise ValueError(f"empty universe for n={n}, nu={nu}")
@@ -471,6 +482,11 @@ def extremal_search(
             f"n={n}, nu={nu}, index={label}: runner-up gap {runner_up_gap:.3e} "
             f"is below {UNIQUENESS_GAP:.0e}; refusing to claim a unique maximizer"
         )
+    confirms_h = (
+        unique
+        and canonical_form(maximizers[0]) == canonical_form(h)
+        and abs(max_value - expected) <= tie_tol
+    )
     return ExtremalReport(
         n=n,
         nu=nu,
@@ -481,4 +497,5 @@ def extremal_search(
         runner_up_gap=runner_up_gap,
         unique=unique,
         max_degree_all_maximizers=min(max_degree(g) for g in maximizers),
+        confirms_h=confirms_h,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import Graph, delete_vertex, graph_from_edges, is_connected
 
@@ -96,15 +97,17 @@ def max_reduced_sombor_value(n: int, nu: int) -> float:
     )
 
 
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "empty",
-    "h_graph",
-    "star_plus_isolated",
-)
+# each kind's builder and its parameter names, in the order the builder
+# (and the ``construct`` command) takes them
+FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "star": (star, ("n",)),
+    "complete": (complete, ("n",)),
+    "empty": (empty_graph, ("n",)),
+    "h_graph": (h_graph, ("n", "nu")),
+    "star_plus_isolated": (star_plus_isolated, ("m", "n")),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,25 +123,14 @@ class FamilySpec:
     m: int | None = None
 
     def build(self) -> Graph:
-        if self.kind == "h_graph":
-            if self.nu is None:
-                raise ValueError("h_graph needs nu")
-            return h_graph(self.n, self.nu)
-        if self.kind == "star_plus_isolated":
-            if self.m is None:
-                raise ValueError("star_plus_isolated needs m")
-            return star_plus_isolated(self.m, self.n)
-        if self.kind == "path":
-            return path(self.n)
-        if self.kind == "cycle":
-            return cycle(self.n)
-        if self.kind == "star":
-            return star(self.n)
-        if self.kind == "complete":
-            return complete(self.n)
-        if self.kind == "empty":
-            return empty_graph(self.n)
-        raise ValueError(f"unknown family kind {self.kind!r} (one of {FAMILY_KINDS})")
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown family kind {self.kind!r} (one of {tuple(FAMILIES)})")
+        builder, names = FAMILIES[self.kind]
+        params = [getattr(self, name) for name in names]
+        for name, value in zip(names, params):
+            if value is None:
+                raise ValueError(f"{self.kind} needs {name}")
+        return builder(*params)
 
 
 # -- structural membership tests (no isomorphism search needed) -------------

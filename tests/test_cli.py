@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import somborkit
+from somborkit import enumeration
 from somborkit.cli import main
-from somborkit.families import h_graph, star
+from somborkit.families import FAMILIES, h_graph, max_sombor_value, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
 
 
@@ -66,6 +67,39 @@ def test_construct_range_error(capsys):
     assert rc != 0 and "usage" in err
 
 
+CONSTRUCT_USAGE = (
+    "usage: construct {path|cycle|star|complete|empty} N"
+    " | h_graph N NU | star_plus_isolated M N\n"
+)
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_construct_builds_every_family_with_its_arity(kind, capsys):
+    builder, names = FAMILIES[kind]
+    params = [{"n": 6, "nu": 2, "m": 3}[name] for name in names]
+    rc, out, err = run(capsys, ["construct", kind, *map(str, params)])
+    assert (rc, out, err) == (0, encode_graph6(builder(*params)) + "\n", "")
+    for wrong in (params[:-1], params + [1]):
+        rc, out, err = run(capsys, ["construct", kind, *map(str, wrong)])
+        assert rc == 2 and out == ""
+        assert err == f"error: {kind} takes: {' '.join(names)}\n" + CONSTRUCT_USAGE
+
+
+def test_level_options_are_exclusive(capsys):
+    """--m and --nu both select edge levels, and --input and --n both
+    select the graphs; giving both of a pair is a usage error."""
+    for argv in (
+        ["enumerate", "--n", "4", "--m", "5", "--nu", "0"],
+        ["verify-bounds", "--n", "4", "--m", "3", "--nu", "0"],
+        ["verify-bounds", "--input", "-", "--n", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "not allowed with argument" in captured.err
+
+
 def test_enumerate(capsys):
     rc, out, _ = run(capsys, ["enumerate", "--n", "4", "--m", "3", "--universe", "all"])
     assert rc == 0
@@ -99,6 +133,26 @@ def test_verify_extremal_full_sweep_to_7(capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 3 + 4 + 5 + 6
     assert all(",true," in row for row in rows)
+
+
+def test_verify_extremal_fails_a_wrong_closed_form(monkeypatch, capsys):
+    argv = ["verify-extremal", "--n", "4..6", "--nu", "0..2", "--index", "so"]
+    rc, expected, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    monkeypatch.setitem(
+        enumeration.CLOSED_FORMS, "so", lambda n, nu: max_sombor_value(n, nu) - 1
+    )
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == expected
+    assert err == "error: 9 cell(s) without a unique h_graph maximizer\n"
+
+
+@pytest.mark.parametrize("cells", [["--n", "4", "--nu", "5"], ["--n", "4..9", "--nu", "8"]])
+def test_verify_extremal_refuses_an_empty_range(cells, tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    rc, out, err = run(capsys, ["verify-extremal", *cells, "--output", str(dest)])
+    assert rc == 2 and out == "" and not dest.exists()
+    assert err == "error: no (n, nu) cell with 0 <= nu <= n-2 in the requested range\n"
 
 
 def test_verify_extremal_cap(capsys):
@@ -216,6 +270,40 @@ def test_runs_as_a_module(module):
     assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
 
 
+def _run_script(name, *argv):
+    root = Path(somborkit.__file__).parent.parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_verify_conjecture_script():
+    done = _run_script("verify_conjecture.py", "--n-max", "5")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert sum(row[0] in ("so", "sored") for row in rows) == 14
+    assert (
+        "  theorem range (0 <= nu <= n-2): 14/14 ok; conjecture range (nu >= 5): 0/0 ok"
+        in done.stdout.splitlines()
+    )
+    done = _run_script("verify_conjecture.py", "--n-max", "5", "--workers", "-3")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "--workers must be >= 1" in done.stderr
+
+
+def test_bounds_census_script():
+    done = _run_script("bounds_census.py", "--n-max", "5")
+    assert done.returncode == 1, done.stderr
+    assert "31 connected classes (n<=5), 52 total classes (n<=5)" in done.stdout
+    assert "      COUNTEREXAMPLE DJ{: degrees (4, 3, 3, 3, 1)" in done.stdout
+
+
 def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):
     rc, out, err = run(capsys, ["enumerate", "--n", "8..10"])
     assert rc == 2 and out == "" and "capped at n <= 9" in err
@@ -227,6 +315,15 @@ def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):
     assert rc == 2 and out == "" and "order-0" in err
     rc, out, err = run(capsys, ["enumerate", "--n", "0..2", "--format", "csv"])
     assert rc == 0 and out.splitlines()[0].startswith("graph6,") and len(out.splitlines()) == 3
+
+
+def test_verify_bounds_checks_every_level_before_building(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(enumeration, "_level", build)
+    rc, out, err = run(capsys, ["verify-bounds", "--n", "3..10"])
+    assert (rc, out, err) == (2, "", "error: generation capped at n <= 9, got n=10\n")
 
 
 def test_verify_bounds_unknown_bound(capsys):

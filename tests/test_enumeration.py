@@ -493,6 +493,31 @@ def test_extremal_search_refuses_hairline_gaps():
         extremal_search(4, 0, term)
 
 
+def test_extremal_search_decides_the_cell(monkeypatch):
+    """``confirms_h`` needs a unique maximizer that is h_graph and a
+    maximum equal to the closed form (the term's value on h_graph for a
+    callable term)."""
+    assert extremal_search(6, 2, "so").confirms_h
+    assert extremal_search(6, 2, "sored").confirms_h
+    assert extremal_search(6, 2, math.hypot).confirms_h
+
+    # -SO is maximized by the path alone among trees: unique, but not h_graph
+    report = extremal_search(5, 0, lambda a, b: -math.hypot(a, b))
+    assert report.unique and not report.confirms_h
+    assert canonical_form(report.maximizers[0]) == canonical_form(path(5))
+
+    # a constant term ties every class: no unique maximizer
+    assert not extremal_search(5, 1, lambda a, b: 1.0).confirms_h
+
+    # h_graph is the unique maximizer, but the closed form is off by one
+    monkeypatch.setitem(
+        enumeration.CLOSED_FORMS, "so", lambda n, nu: max_sombor_value(n, nu) - 1
+    )
+    report = extremal_search(6, 2, "so")
+    assert report.unique and not report.confirms_h
+    assert canonical_form(report.maximizers[0]) == canonical_form(h_graph(6, 2))
+
+
 def test_scope_caps():
     with pytest.raises(ValueError):
         all_graphs(10, 3)
