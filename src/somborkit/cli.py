@@ -13,11 +13,11 @@ anomaly, parse error, or cap breach occurred.
 
 Input is read one line at a time: ``verify-bounds --input`` parses and
 checks each graph before reading the next, and prints its report (or, on
-a malformed line, only the error) at the end.  ``enumerate`` and
-``verify-bounds --n`` check every requested level before building any,
-and ``enumerate`` writes each line as its level is built.
-``verify-extremal`` prints the verdict ``extremal_search`` gives each
-cell and builds no verdict of its own.
+a malformed line, only the error) at the end.  ``enumerate``,
+``verify-bounds --n`` and ``verify-extremal`` check every requested level
+before building any.  ``enumerate`` writes each line as its level is
+built.  ``verify-extremal`` prints the verdict ``extremal_search`` gives
+each cell and builds no verdict of its own.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from typing import Iterable, Iterator
 
 from .bounds import BoundReport, GraphRecord, run_suite
 from .enumeration import (
+    INDEX_FUNCTIONS,
+    SCOPE_MAX_N,
     AmbiguousMaximumError,
     all_graphs,
     check_scope,
@@ -137,6 +139,8 @@ def cmd_construct(args) -> int:
 def _m_values(args, n: int) -> list[int]:
     if args.nu is not None:
         lo, hi = _parse_range(args.nu)
+        if lo < 0:
+            raise ValueError(f"--nu must be >= 0, got {args.nu}")
         return [n - 1 + nu for nu in range(lo, min(hi, n - 2) + 1)]
     if args.m is not None:
         lo, hi = _parse_range(args.m)
@@ -176,41 +180,32 @@ def cmd_enumerate(args) -> int:
 
 
 EXTREMAL_HEADER = "n,nu,universe_size,max_value,unique,gap,maximizer_graph6"
+_extremal_columns = attrgetter("n", "nu", "universe_size", "max_value", "unique", "runner_up_gap")
 
 
 def cmd_verify_extremal(args) -> int:
-    n_lo, n_hi = _parse_range(args.n)
-    cells = []
-    for n in range(n_lo, n_hi + 1):
-        nu_lo, nu_hi = (0, n - 2) if args.nu is None else _parse_range(args.nu)
-        cells.extend((n, nu) for nu in range(nu_lo, min(nu_hi, n - 2) + 1))
+    cells = [(n, m - n + 1) for n, ms in _levels(args) for m in ms]
     if not cells:
         raise ValueError("no (n, nu) cell with 0 <= nu <= n-2 in the requested range")
-    failures = 0
-    rows = []
+    reports = []
     for n, nu in cells:
         try:
-            report = extremal_search(n, nu, args.index, workers=args.workers)
+            reports.append(extremal_search(n, nu, args.index, workers=args.workers))
         except AmbiguousMaximumError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        failures += not report.confirms_h
-        rows.append(
-            _csv_line(
-                [
-                    n,
-                    nu,
-                    report.universe_size,
-                    report.max_value,
-                    report.unique,
-                    report.runner_up_gap,
-                    ";".join(encode_graph6(g) for g in report.maximizers),
-                ]
-            )
-        )
-    _write_lines(args.output, [EXTREMAL_HEADER, *rows])
+    rows = (
+        _csv_line([*_extremal_columns(r), ";".join(map(encode_graph6, r.maximizers))])
+        for r in reports
+    )
+    _write_lines(args.output, chain([EXTREMAL_HEADER], rows))
+    failures = sum(not r.confirms_h for r in reports)
     if failures:
-        print(f"error: {failures} cell(s) without a unique h_graph maximizer", file=sys.stderr)
+        print(
+            f"error: {failures} cell(s) do not confirm h_graph(n, nu) as the unique"
+            " maximizer at its closed-form value",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
@@ -272,10 +267,16 @@ def cmd_verify_bounds(args) -> int:
     return 0
 
 
+NU_HELP = (
+    "A or A..B: selects m = n-1+nu edges with nu <= n-2; nu is the cyclomatic"
+    " number only on connected graphs"
+)
+
+
 def _add_edge_range(p: argparse.ArgumentParser) -> None:
     levels = p.add_mutually_exclusive_group()
     levels.add_argument("--m", default=None, help="edge count or range A..B")
-    levels.add_argument("--nu", default=None, help="cyclomatic number or range A..B")
+    levels.add_argument("--nu", default=None, help=NU_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,11 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-extremal", help="brute-force maximizer verification")
     p.add_argument("--n", required=True, help="order or range A..B")
-    p.add_argument("--nu", default=None, help="cyclomatic number or range A..B (default full)")
-    p.add_argument("--index", choices=["so", "sored"], default="so")
+    # each order that can be built has n <= SCOPE_MAX_N, so this default holds all its cells
+    p.add_argument("--nu", default=f"0..{SCOPE_MAX_N - 2}", help=NU_HELP + "; default: all")
+    p.add_argument("--index", choices=list(INDEX_FUNCTIONS), default="so")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_verify_extremal)
+    p.set_defaults(func=cmd_verify_extremal, m=None)
 
     p = sub.add_parser("verify-bounds", help="bound checks over a universe or file")
     source = p.add_mutually_exclusive_group()

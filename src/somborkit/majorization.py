@@ -107,8 +107,11 @@ def karamata_compare(
 def majorizing_degree_sequence(n: int, nu: int) -> tuple[int, ...]:
     """Degree sequence of h_graph(n, nu): (n-1, nu+1, 2^nu, 1^(n-nu-2)).
 
-    It majorizes the degree sequence of every connected graph with n
-    vertices and cyclomatic number nu, for 0 <= nu <= n-2.
+    The claim that it majorizes the degree sequence of every connected
+    graph with n vertices and cyclomatic number nu is refuted: K4 plus a
+    pendant vertex (graph6 ``DJ{``, degrees (4,3,3,3,1)) is incomparable
+    with (4,4,2,2,2).  The strict-xfail acceptance criterion 8 and the
+    README record this.
     """
     if not 0 <= nu <= n - 2:
         raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")

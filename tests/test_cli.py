@@ -10,6 +10,7 @@ import pytest
 import somborkit
 from somborkit import enumeration
 from somborkit.cli import main
+from somborkit.enumeration import canonical_form
 from somborkit.families import FAMILIES, h_graph, max_sombor_value, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
 
@@ -144,7 +145,10 @@ def test_verify_extremal_fails_a_wrong_closed_form(monkeypatch, capsys):
     )
     rc, out, err = run(capsys, argv)
     assert rc == 1 and out == expected
-    assert err == "error: 9 cell(s) without a unique h_graph maximizer\n"
+    assert err == (
+        "error: 9 cell(s) do not confirm h_graph(n, nu) as the unique maximizer"
+        " at its closed-form value\n"
+    )
 
 
 @pytest.mark.parametrize("cells", [["--n", "4", "--nu", "5"], ["--n", "4..9", "--nu", "8"]])
@@ -153,6 +157,30 @@ def test_verify_extremal_refuses_an_empty_range(cells, tmp_path, capsys):
     rc, out, err = run(capsys, ["verify-extremal", *cells, "--output", str(dest)])
     assert rc == 2 and out == "" and not dest.exists()
     assert err == "error: no (n, nu) cell with 0 <= nu <= n-2 in the requested range\n"
+
+
+@pytest.mark.parametrize("index", ["so", "sored"])
+def test_verify_extremal_confirms_conjecture_cells(index, capsys):
+    """The nu >= 5 cells (the range of the original uniqueness conjecture)
+    each have h_graph(n, nu) as their unique maximizer."""
+    argv = ["verify-extremal", "--n", "7..8", "--nu", "5..6", "--index", index]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(int(row[0]), int(row[1])) for row in rows] == [(7, 5), (8, 5), (8, 6)]
+    for n, nu, _, _, unique, _, maximizer in rows:
+        assert unique == "true"
+        assert canonical_form(parse_graph6(maximizer)) == canonical_form(h_graph(int(n), int(nu)))
+
+
+@pytest.mark.parametrize("cells", [["--n", "8..10"], ["--n", "8..10", "--nu", "0..4"]])
+def test_verify_extremal_checks_every_cell_before_building(cells, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(enumeration, "_level", build)
+    rc, out, err = run(capsys, ["verify-extremal", *cells])
+    assert (rc, out, err) == (2, "", "error: generation capped at n <= 9, got n=10\n")
 
 
 def test_verify_extremal_cap(capsys):
@@ -270,40 +298,6 @@ def test_runs_as_a_module(module):
     assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
 
 
-def _run_script(name, *argv):
-    root = Path(somborkit.__file__).parent.parent.parent
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / name), *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-def test_verify_conjecture_script():
-    done = _run_script("verify_conjecture.py", "--n-max", "5")
-    assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()]
-    assert sum(row[0] in ("so", "sored") for row in rows) == 14
-    assert (
-        "  theorem range (0 <= nu <= n-2): 14/14 ok; conjecture range (nu >= 5): 0/0 ok"
-        in done.stdout.splitlines()
-    )
-    done = _run_script("verify_conjecture.py", "--n-max", "5", "--workers", "-3")
-    assert done.returncode == 2 and done.stdout == ""
-    assert "--workers must be >= 1" in done.stderr
-
-
-def test_bounds_census_script():
-    done = _run_script("bounds_census.py", "--n-max", "5")
-    assert done.returncode == 1, done.stderr
-    assert "31 connected classes (n<=5), 52 total classes (n<=5)" in done.stdout
-    assert "      COUNTEREXAMPLE DJ{: degrees (4, 3, 3, 3, 1)" in done.stdout
-
-
 def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):
     rc, out, err = run(capsys, ["enumerate", "--n", "8..10"])
     assert rc == 2 and out == "" and "capped at n <= 9" in err
@@ -324,6 +318,55 @@ def test_verify_bounds_checks_every_level_before_building(monkeypatch, capsys):
     monkeypatch.setattr(enumeration, "_level", build)
     rc, out, err = run(capsys, ["verify-bounds", "--n", "3..10"])
     assert (rc, out, err) == (2, "", "error: generation capped at n <= 9, got n=10\n")
+
+
+def test_verify_bounds_connected_census(capsys):
+    """Every bound over the 996 connected classes with 1 <= n <= 7: the
+    only violations are the three known degree-sum counterexamples."""
+    rc, out, err = run(capsys, ["verify-bounds", "--n", "1..7"])
+    assert (rc, err) == (1, "error: 3 violation(s), 0 anomaly(ies)\n")
+    lines = out.splitlines()
+    assert lines[-1] == "996,11952,10034,2090,1915,3,0"
+    reports = [line.split(",") for line in lines[1 : lines.index("")]]
+    violations = [(r[0], r[1]) for r in reports if r[5] == "false"]
+    assert violations == [("degree-sum-upper", g6) for g6 in ("DJ{", "E@Nw", "F?C^w")]
+
+
+def test_verify_bounds_full_universe_census(capsys):
+    """The four bounds proven on every graph, disconnected ones included,
+    hold with no anomaly on all 208 classes with 1 <= n <= 6."""
+    bounds = ["so-shifted-upper", "so-red-upper", "epsilon-identities", "zagreb-sandwich"]
+    argv = ["verify-bounds", "--n", "1..6", "--universe", "all", "--bounds", *bounds]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "graphs,reports,holds,equality,vacuous,violations,anomalies",
+        "208,1664,1602,509,62,0,0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "5", "--nu=-1", "--universe", "all"],
+        ["verify-bounds", "--n", "5", "--nu=-1"],
+        ["verify-extremal", "--n", "5", "--nu=-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_nu_is_refused(argv, capsys):
+    """--nu selects m = n-1+nu edges; a negative value would select levels
+    whose graphs do not have that cyclomatic number."""
+    assert run(capsys, argv) == (2, "", "error: --nu must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "4"], ["verify-extremal", "--n", "4"], ["verify-bounds", "--n", "4"]],
+    ids=lambda argv: argv[0],
+)
+def test_workers_must_be_positive(argv, capsys):
+    assert run(capsys, [*argv, "--workers", "0"]) == (2, "", "error: --workers must be >= 1\n")
 
 
 def test_verify_bounds_unknown_bound(capsys):
