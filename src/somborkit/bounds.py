@@ -7,7 +7,8 @@ graph6 text (the text it was read from, or encoded once for a generated
 graph) and the four index values, each evaluated from the profile at
 most once and only if a selected bound reads it.  Every check reads that
 record; ``run_suite`` takes graphs or records, builds a record per graph
-as it goes and passes it to every selected group, and the public
+as it goes, passes it to every selected group and hands the graph's
+reports to a sink before reading the next graph, and the public
 ``check_*`` functions also accept a plain ``Graph`` and build the record
 themselves.  Index values are ``math.fsum`` sums over the histogram, so
 a report does not depend on how the graph's vertices are labeled.
@@ -126,6 +127,9 @@ def _report(
     vacuous: bool = False,
     class_predicate: Callable[[Graph], bool] | None = None,
 ) -> BoundReport:
+    # Integer sides such as m(m-1) become floats: exact below 2**53, and
+    # written as the integer would be below 1e12 (graphs under 10**6 edges).
+    lhs, rhs = float(lhs), float(rhs)
     slack = lhs - rhs if lower else rhs - lhs
     equality = not vacuous and abs(slack) <= EQUALITY_TOL * max(1.0, abs(rhs))
     if vacuous:
@@ -402,17 +406,22 @@ class SuiteSummary:
 
 
 def run_suite(
-    graphs: Iterable[Graph | GraphRecord], bounds: Iterable[str] | None = None
-) -> tuple[list[BoundReport], SuiteSummary]:
+    graphs: Iterable[Graph | GraphRecord],
+    bounds: Iterable[str] | None = None,
+    sink: Callable[[list[BoundReport]], object] | None = None,
+) -> SuiteSummary:
     """Evaluate the selected bound groups on every graph.
 
     ``graphs`` may be a lazy iterable of graphs or records; it is read
     once, one graph at a time.  ``bounds`` is a list of BOUND_GROUPS
     keys; None means all of them.
-    Returns one report per (graph, emitted bound) plus the tallies.  The
-    order-0 graph is outside every bound's hypothesis and the indices are
-    undefined on it, so its reports are vacuous with lhs, rhs and slack 0,
-    and no index is evaluated.
+    Each graph's reports (one per emitted bound, in group order) are
+    passed to ``sink`` before the next graph is read, and then dropped:
+    the returned summary keeps only the tallies and the violation and
+    anomaly reports, so memory grows with the flagged reports alone.
+    The order-0 graph is outside every bound's hypothesis and the indices
+    are undefined on it, so its reports are vacuous with lhs, rhs and
+    slack 0, and no index is evaluated.
     """
     if bounds is None:
         selected = list(BOUND_GROUPS)
@@ -423,11 +432,13 @@ def run_suite(
             raise ValueError(
                 f"unknown bound id(s) {unknown}; known: {sorted(BOUND_GROUPS)}"
             )
-    reports: list[BoundReport] = []
-    n_graphs = 0
+    n_graphs = n_reports = holds = equality = vacuous = 0
+    violations: list[BoundReport] = []
+    anomalies: list[BoundReport] = []
     for g in graphs:
         n_graphs += 1
         rec = _record(g)
+        reports: list[BoundReport] = []
         for name in selected:
             if rec.graph.n:
                 reports.extend(BOUND_GROUPS[name](rec))
@@ -446,13 +457,23 @@ def run_suite(
                 )
                 for bound_id in GROUP_BOUND_IDS[name]
             )
-    summary = SuiteSummary(
+        n_reports += len(reports)
+        for r in reports:
+            holds += r.holds and not r.vacuous
+            equality += r.equality
+            vacuous += r.vacuous
+            if r.violation:
+                violations.append(r)
+            if r.anomaly:
+                anomalies.append(r)
+        if sink is not None:
+            sink(reports)
+    return SuiteSummary(
         graphs=n_graphs,
-        reports=len(reports),
-        holds=sum(r.holds and not r.vacuous for r in reports),
-        equality=sum(r.equality for r in reports),
-        vacuous=sum(r.vacuous for r in reports),
-        violations=tuple(r for r in reports if r.violation),
-        anomalies=tuple(r for r in reports if r.anomaly),
+        reports=n_reports,
+        holds=holds,
+        equality=equality,
+        vacuous=vacuous,
+        violations=tuple(violations),
+        anomalies=tuple(anomalies),
     )
-    return reports, summary

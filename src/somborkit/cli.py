@@ -11,9 +11,13 @@ Output is deterministic: identical invocations produce byte-identical
 output regardless of --workers.  Exit status is 0 only when no violation,
 anomaly, parse error, or cap breach occurred.
 
-Input is read one line at a time: ``verify-bounds --input`` parses and
-checks each graph before reading the next, and prints its report (or, on
-a malformed line, only the error) at the end.  ``enumerate``,
+Input is read one line at a time: ``compute`` and ``verify-bounds``
+parse and check each graph before reading the next, and write its CSV
+rows to a spool, an unnamed temporary file in TMPDIR, so that their
+memory does not grow with the input.  Only once the whole input has been
+read and checked is the spool copied to the output (for ``verify-bounds``
+followed by the summary); a malformed line prints only its error, and
+``--output FILE`` is then not created.  ``enumerate``,
 ``verify-bounds --n`` and ``verify-extremal`` check every requested level
 before building any.  ``enumerate`` writes each line as its level is
 built.  ``verify-extremal`` prints the verdict ``extremal_search`` gives
@@ -23,12 +27,14 @@ each cell and builds no verdict of its own.
 from __future__ import annotations
 
 import argparse
+import shutil
+import signal
 import sys
+import tempfile
 from contextlib import nullcontext
-from dataclasses import fields
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .bounds import BoundReport, GraphRecord, run_suite
 from .enumeration import (
@@ -56,10 +62,31 @@ def _csv_line(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
+def _open_output(path: str):
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w")
+
+
 def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Write each line to a file, or to stdout for "-", as it is produced."""
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w") as out:
+    with _open_output(path) as out:
         for line in lines:
+            print(line, file=out)
+
+
+def _spool() -> IO[str]:
+    """An unnamed temporary file (in TMPDIR) that holds CSV rows, each
+    ending in a newline, until the whole input has been checked."""
+    return tempfile.TemporaryFile("w+")
+
+
+def _write_spooled(path: str, header: str, spool: IO[str], trailer: Iterable[str] = ()) -> None:
+    """Write the header, the spooled rows (copied in blocks) and the
+    trailer lines to a file, or to stdout for "-"."""
+    spool.seek(0)
+    with _open_output(path) as out:
+        print(header, file=out)
+        shutil.copyfileobj(spool, out)
+        for line in trailer:
             print(line, file=out)
 
 
@@ -99,14 +126,15 @@ def _compute_row(rec: GraphRecord) -> str:
 
 
 def cmd_compute(args) -> int:
-    rows = []
-    for lineno, rec in _input_records(args.input):
-        try:
-            rows.append(_compute_row(rec))
-        except ValueError as exc:  # the indices are undefined on the order-0 graph
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return 1
-    _write_lines(args.output, [COMPUTE_HEADER, *rows])
+    with _spool() as spool:
+        for lineno, rec in _input_records(args.input):
+            try:
+                row = _compute_row(rec)
+            except ValueError as exc:  # the indices are undefined on the order-0 graph
+                print(f"error: line {lineno}: {exc}", file=sys.stderr)
+                return 1
+            print(row, file=spool)
+        _write_spooled(args.output, COMPUTE_HEADER, spool)
     return 0
 
 
@@ -230,8 +258,16 @@ def _input_records(path: str) -> Iterator[tuple[int, GraphRecord]]:
 
 BOUNDS_HEADER = "bound_id,graph6,lhs,rhs,slack,holds,equality,class_match,vacuous"
 SUMMARY_HEADER = "graphs,reports,holds,equality,vacuous,violations,anomalies"
-# a report's CSV columns are its fields, in order
-_report_columns = attrgetter(*(f.name for f in fields(BoundReport)))
+_BOOL = ("false", "true")
+
+
+def _report_row(r: BoundReport) -> str:
+    """A report's CSV row, newline included: its fields, in order, written
+    as ``_csv_line`` would write them (lhs, rhs and slack are floats)."""
+    return (
+        f"{r.bound_id},{r.graph6},{r.lhs:.12g},{r.rhs:.12g},{r.slack:.12g},{_BOOL[r.holds]},"
+        f"{_BOOL[r.equality]},{_BOOL[r.equality_class_match]},{_BOOL[r.vacuous]}\n"
+    )
 
 
 def cmd_verify_bounds(args) -> int:
@@ -243,20 +279,20 @@ def cmd_verify_bounds(args) -> int:
         return 2
     else:
         graphs = _universe(args, _levels(args))
-    reports, summary = run_suite(graphs, selection)
-    tallies = [
-        summary.graphs,
-        summary.reports,
-        summary.holds,
-        summary.equality,
-        summary.vacuous,
-        len(summary.violations),
-        len(summary.anomalies),
-    ]
-    rows = (_csv_line(_report_columns(r)) for r in reports)
-    _write_lines(
-        args.output, chain([BOUNDS_HEADER], rows, ["", SUMMARY_HEADER, _csv_line(tallies)])
-    )
+    with _spool() as spool:
+        summary = run_suite(
+            graphs, selection, lambda reports: spool.writelines(map(_report_row, reports))
+        )
+        tallies = [
+            summary.graphs,
+            summary.reports,
+            summary.holds,
+            summary.equality,
+            summary.vacuous,
+            len(summary.violations),
+            len(summary.anomalies),
+        ]
+        _write_spooled(args.output, BOUNDS_HEADER, spool, ["", SUMMARY_HEADER, _csv_line(tallies)])
     if not summary.ok:
         print(
             f"error: {len(summary.violations)} violation(s),"
@@ -345,6 +381,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:  # console-script hook
+    # stop quietly, like any filter, when the reader of stdout goes away
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

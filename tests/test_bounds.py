@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from somborkit import bounds, cli, enumeration, families, graphs, indices
 from somborkit.bounds import (
     BOUND_GROUPS,
+    GraphRecord,
+    SuiteSummary,
     check_degree_sum_bound,
     check_epsilon_identities,
     check_so_lower_bound,
@@ -168,8 +171,15 @@ def test_zagreb_sandwich():
     assert by_id["zagreb-so-red-upper"].equality  # 0 = 0 on a lone edge
 
 
+def suite(graphs, bounds=None):
+    """``run_suite`` with every report its sink receives collected."""
+    reports = []
+    summary = run_suite(graphs, bounds, reports.extend)
+    return reports, summary
+
+
 def test_run_suite_connected_5(connected_universe):
-    reports, summary = run_suite(connected_universe[5])
+    reports, summary = suite(connected_universe[5])
     assert summary.graphs == len(connected_universe[5])
     assert not summary.anomalies
     # the only failing reports are the known degree-sum counterexamples
@@ -180,12 +190,12 @@ def test_run_suite_connected_5(connected_universe):
 def test_run_suite_excluding_degree_sum_is_clean(connected_universe):
     bounds = [b for b in BOUND_GROUPS if b != "degree-sum-upper"]
     for n in range(1, 7):
-        _, summary = run_suite(connected_universe[n], bounds)
+        _, summary = suite(connected_universe[n], bounds)
         assert summary.ok, (n, summary.violations, summary.anomalies)
 
 
 def test_run_suite_empty_and_unknown():
-    reports, summary = run_suite([])
+    reports, summary = suite([])
     assert reports == [] and summary.graphs == 0 and summary.ok
     with pytest.raises(ValueError):
         run_suite([K2], ["no-such-bound"])
@@ -196,15 +206,76 @@ def test_run_suite_order_zero_needs_no_index():
     vacuous on it and no index is evaluated: one all-zero report per
     bound id, with the ids and order the groups emit on K1."""
     g0 = graph_from_edges(0, [])
-    reports, summary = run_suite([g0], ["degree-sum-upper"])
+    reports, summary = suite([g0], ["degree-sum-upper"])
     assert [r.vacuous for r in reports] == [True] and summary.ok
-    reports, summary = run_suite([g0])
-    k1_reports, _ = run_suite([graph_from_edges(1, [])])
+    reports, summary = suite([g0])
+    k1_reports, _ = suite([graph_from_edges(1, [])])
     assert [r.bound_id for r in reports] == [r.bound_id for r in k1_reports]
     assert len(reports) == 12 and summary.ok and summary.vacuous == 12
     assert all(
         r.vacuous and r.holds and (r.lhs, r.rhs, r.slack) == (0.0, 0.0, 0.0) for r in reports
     )
+
+
+def test_run_suite_summary_tallies_the_reports_it_hands_on(connected_universe, full_universe):
+    """The summary keeps only the tallies and the violation and anomaly
+    reports, and they are those of the reports the sink received."""
+    flagged = Counter()
+    for graphs in (connected_universe[7], full_universe[6]):
+        reports, summary = suite(graphs)
+        assert summary == SuiteSummary(
+            graphs=len(graphs),
+            reports=len(reports),
+            holds=sum(r.holds and not r.vacuous for r in reports),
+            equality=sum(r.equality for r in reports),
+            vacuous=sum(r.vacuous for r in reports),
+            violations=tuple(r for r in reports if r.violation),
+            anomalies=tuple(r for r in reports if r.anomaly),
+        )
+        flagged.update(violations=len(summary.violations), anomalies=len(summary.anomalies))
+    assert flagged["violations"] and flagged["anomalies"]
+
+
+def test_run_suite_hands_each_graph_to_the_sink_before_reading_the_next():
+    sample = [path(5), cycle(6), star(4), h_graph(7, 3), graph_from_edges(0, [])]
+    read = []
+
+    def feed():
+        for g in sample:
+            read.append(g)
+            yield g
+
+    handed = []
+    summary = run_suite(
+        feed(), sink=lambda reports: handed.append((len(read), [r.graph6 for r in reports]))
+    )
+    assert handed == [(k + 1, [encode_graph6(g)] * 12) for k, g in enumerate(sample)]
+    assert summary.graphs == len(sample) and summary.reports == 12 * len(sample)
+
+
+def test_run_suite_memory_does_not_grow_with_its_input():
+    """Reports are dropped once the sink has them: the traced peak over
+    3,000 records stays within 1.5 times the peak over 300.  The graphs
+    have more than 20 vertices, so that CPython's bounded free lists of
+    small tuples, which fill up as a run goes on, do not enter the peak."""
+    rng = random.Random(3000)
+    pool = []
+    for _ in range(60):
+        n = rng.randint(21, 30)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n))}
+        pool.append(graph_from_edges(n, edges))
+
+    def peak(count):
+        records = (GraphRecord(pool[i % len(pool)]) for i in range(count))
+        tracemalloc.start()
+        try:
+            run_suite(records)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3000) < 1.5 * peak(300)
 
 
 def test_equality_census_upper_bounds(full_universe):
@@ -256,7 +327,7 @@ def test_run_suite_profiles_and_encodes_each_graph_once(monkeypatch):
     sample = [K2, path(5), cycle(6), star(4), h_graph(6, 2), empty_graph(3), parse_graph6("DJ{")]
     encoded = count_calls(monkeypatch, "encode_graph6")
     profiled = count_calls(monkeypatch, "edge_stats")
-    reports, summary = run_suite(sample)
+    reports, summary = suite(sample)
     assert summary.reports == 12 * len(sample)
     assert [args[0] for args in encoded] == sample
     assert [args[0] for args in profiled] == sample
@@ -355,7 +426,7 @@ def test_run_suite_matches_per_edge_reference():
     give under the same tolerances."""
     rng = random.Random(20210)
     sample = [_random_graph(rng, i % 4) for i in range(48)]
-    reports, _ = run_suite(sample)
+    reports, _ = suite(sample)
     assert len(reports) == 12 * len(sample)
     live = Counter()
     for i, g in enumerate(sample):

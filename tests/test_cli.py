@@ -1,14 +1,18 @@
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 import somborkit
-from somborkit import enumeration
+from somborkit import cli, enumeration
+from somborkit.bounds import BoundReport, run_suite
 from somborkit.cli import main
 from somborkit.enumeration import canonical_form
 from somborkit.families import FAMILIES, h_graph, max_sombor_value, star
@@ -46,8 +50,27 @@ def test_compute_malformed_line_reports_position(tmp_path, capsys):
     src = tmp_path / "bad.g6"
     src.write_text("D?{\nCs\nD?\n")
     rc, out, err = run(capsys, ["compute", "--input", str(src)])
-    assert rc != 0
+    assert rc != 0 and out == ""
     assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "command, last_line, error",
+    [
+        ("compute", "D?", "line 4: body length 1 does not match n=5 (expected 2 bytes)"),
+        ("compute", "?", "line 4: index undefined on the order-0 graph"),
+        ("verify-bounds", "D?", "line 4: body length 1 does not match n=5 (expected 2 bytes)"),
+    ],
+)
+def test_a_late_bad_line_creates_no_output_file(command, last_line, error, tmp_path, capsys):
+    """Rows are spooled until the whole input has been checked, so a bad
+    last line leaves no partial report behind."""
+    src = tmp_path / "in.g6"
+    src.write_text(f"D?{{\nBW\nCs\n{last_line}\n")
+    dest = tmp_path / "out.csv"
+    rc, out, err = run(capsys, [command, "--input", str(src), "--output", str(dest)])
+    assert (rc, out, err) == (1, "", f"error: {error}\n")
+    assert not dest.exists()
 
 
 def test_construct(capsys):
@@ -277,16 +300,21 @@ def test_verify_bounds_prints_long_headers_in_short_form(monkeypatch, capsys):
     assert encode_graph6(big).startswith("~")
 
 
+def _module_env() -> dict:
+    """The environment under which ``python -m somborkit`` imports this
+    source tree."""
+    src = str(Path(somborkit.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.mark.parametrize("module", ["somborkit", "somborkit.cli"])
 def test_runs_as_a_module(module):
     """``python -m somborkit`` and ``python -m somborkit.cli`` run the CLI."""
-    src = str(Path(somborkit.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
     def run_module(*argv):
         return subprocess.run(
             [sys.executable, "-m", module, *argv],
-            env=env,
+            env=_module_env(),
             capture_output=True,
             text=True,
             timeout=60,
@@ -296,6 +324,31 @@ def test_runs_as_a_module(module):
     assert (done.returncode, done.stdout, done.stderr) == (0, "B?\nBG\nBW\nBw\n", "")
     done = run_module("enumerate", "--n", "11")
     assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "7", "--universe", "all"], ["verify-bounds", "--n", "1..5"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_stdout_stops_the_cli_quietly(argv):
+    """Like any filter, the CLI ends on SIGPIPE when the reader of its
+    output has gone (``somborkit enumerate ... | head -1``): no traceback,
+    and not exit 1, which means a violation or a bad input line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "somborkit", *argv],
+            env=_module_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")
 
 
 def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):
@@ -330,6 +383,38 @@ def test_verify_bounds_connected_census(capsys):
     reports = [line.split(",") for line in lines[1 : lines.index("")]]
     violations = [(r[0], r[1]) for r in reports if r[5] == "false"]
     assert violations == [("degree-sum-upper", g6) for g6 in ("DJ{", "E@Nw", "F?C^w")]
+
+
+# reference for the typed report row: the fields, in order, through the generic writer
+_report_columns = attrgetter(*(f.name for f in fields(BoundReport)))
+
+
+def _reference_row(r: BoundReport) -> str:
+    return cli._csv_line(_report_columns(r)) + "\n"
+
+
+def test_report_row_matches_the_generic_writer(connected_universe):
+    """The typed row of every report of ``verify-bounds --n 1..7`` and of
+    the order-0 graph is what the generic writer gives.  Sides that were
+    ints before ``_report`` made them floats, such as m(m-1), are written
+    as the ints were, up to 12 digits."""
+    reports = []
+    universe = [g for n in range(1, 8) for g in connected_universe[n]]
+    run_suite([*universe, graph_from_edges(0, [])], sink=reports.extend)
+    assert len(reports) == 11952 + 12
+    integral = 0
+    for r in reports:
+        assert cli._report_row(r) == _reference_row(r)
+        if r.bound_id in ("so-red-upper", "tree-so-red-upper"):
+            integral += 1
+            assert cli._report_row(r) == _reference_row(replace(r, rhs=int(r.rhs)))
+    assert integral == 2 * len(universe) + 2
+    for m in (10**6, 10**6 - 1):  # m(m-1) = 999,999,000,000 < 1e12
+        lhs = 0.5 * m * (m - 1)
+        r = BoundReport(
+            "so-red-upper", "?", lhs, float(m * (m - 1)), lhs, True, False, False, False
+        )
+        assert cli._report_row(r) == _reference_row(replace(r, rhs=m * (m - 1)))
 
 
 def test_verify_bounds_full_universe_census(capsys):
