@@ -9,7 +9,8 @@ Subcommands:
 
 Output is deterministic: identical invocations produce byte-identical
 output regardless of --workers.  Exit status is 0 only when no violation,
-anomaly, parse error, or cap breach occurred.
+anomaly, parse error, or cap breach occurred; a file that cannot be
+opened prints its error and exits 2.
 
 Input is read one line at a time: ``compute`` and ``verify-bounds``
 parse and check each graph before reading the next, and write its CSV
@@ -375,7 +376,7 @@ def main(argv=None) -> int:
     except Graph6Error as exc:  # a malformed input line, named in the message
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad argument, or a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

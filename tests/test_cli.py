@@ -73,6 +73,23 @@ def test_a_late_bad_line_creates_no_output_file(command, last_line, error, tmp_p
     assert not dest.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["construct", "path", "3", "--output", "{}/x.g6"], "x.g6"),
+        (["compute", "--input", "{}/in.g6"], "in.g6"),
+        (["verify-bounds", "--input", "-", "--output", "{}/x.csv"], "x.csv"),
+    ],
+)
+def test_a_file_that_cannot_be_opened_exits_2(argv, missing, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("D?{\n"))
+    nowhere = tmp_path / "no-such-dir"
+    rc, out, err = run(capsys, [arg.format(nowhere) for arg in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(nowhere / missing) in err and "Traceback" not in err
+
+
 def test_construct(capsys):
     rc, out, _ = run(capsys, ["construct", "h_graph", "5", "2"])
     assert rc == 0

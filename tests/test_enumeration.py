@@ -153,7 +153,7 @@ def test_generation_prunes_canonical_calls(monkeypatch):
     level builds only its complement's chain."""
     enumeration._level_cache.clear()
     all_graphs(8, 27)
-    assert set(enumeration._level_cache) == {(8, 0), (8, 1), (8, 27)}
+    assert set(enumeration._level_cache) == {(8, 0, False), (8, 1, False), (8, 27)}
 
     calls = 0
     canonical_key = enumeration._canonical_key
@@ -168,6 +168,48 @@ def test_generation_prunes_canonical_calls(monkeypatch):
     for m in range(29):
         all_graphs(8, m)
     assert calls < 15_000
+
+
+def test_connected_chain_matches_the_filter():
+    """Grown from connected parents (and trees from two-component
+    forests), each connected level below the middle is the connected part
+    of the full level, in the same order."""
+    for n, ms in [*((n, range(n * (n - 1) // 2 + 1)) for n in range(9)), (9, range(12))]:
+        enumeration._level_cache.clear()
+        for m in ms:
+            chain = connected_graphs(n, m)
+            assert chain == [g for g in all_graphs(n, m) if is_connected(g)], (n, m)
+    assert connected_graphs(0, 0) == []
+    assert connected_graphs(1, 0) == [Graph(1, (0,), 0)]
+    assert connected_graphs(2, 0) == []
+    assert connected_graphs(2, 1) == [complete(2)]
+
+
+def test_sparse_cells_build_no_dense_disconnected_level(monkeypatch):
+    """The sparse extremal cells (nu <= 2) grow from trees and connected
+    parents: far fewer canonicalizations than filtering full levels
+    (5,840 before the connected chain, 2,721 when written), and no
+    disconnected level above m = n - 2 except the halves of a lower level
+    whose complements give an upper cell (2m > C(n,2), only n = 4, 5)."""
+    calls = 0
+    canonical_key = enumeration._canonical_key
+
+    def counted(n, rows):
+        nonlocal calls
+        calls += 1
+        return canonical_key(n, rows)
+
+    monkeypatch.setattr(enumeration, "_canonical_key", counted)
+    enumeration._level_cache.clear()
+    for n in range(4, 10):
+        for nu in range(3):
+            connected_graphs(n, n - 1 + nu)
+    assert calls < 3_500
+    cache = enumeration._level_cache
+    for key in cache:
+        if len(key) == 3 and not key[2] and key[1] > key[0] - 2:
+            n, m, _ = key
+            assert (n, n * (n - 1) // 2 - m) in cache, key
 
 
 def _unfiltered_levels(n):
@@ -450,6 +492,26 @@ def test_upper_level_through_the_pool_matches_serial(monkeypatch):
     finally:
         enumeration._level_cache[(7, 15)] = serial
     assert pooled_with == [2]
+
+
+def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
+    """Trees, unicyclic and bicyclic levels of n = 8 are grown in the
+    worker pool, with the serial result."""
+    serial = connected_graphs(8, 9)
+    pooled_with = []
+    pool = enumeration._pool
+
+    def spy(workers):
+        pooled_with.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(enumeration, "_pool", spy)
+    kept = {m: enumeration._level_cache.pop((8, m, True)) for m in (7, 8, 9)}
+    try:
+        assert connected_graphs(8, 9, workers=2) == serial
+    finally:
+        enumeration._level_cache.update({(8, m, True): keys for m, keys in kept.items()})
+    assert pooled_with == [2, 2, 2]
 
 
 def test_extremal_search_5_2():
