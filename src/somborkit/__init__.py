@@ -31,7 +31,6 @@ from .enumeration import (
     extremal_search,
 )
 from .families import (
-    FamilySpec,
     complete,
     cycle,
     empty_graph,

@@ -7,18 +7,24 @@ graph6 text (the text it was read from, or encoded once for a generated
 graph) and the four index values, each evaluated from the profile at
 most once and only if a selected bound reads it.  Every check reads that
 record; ``run_suite`` takes graphs or records, builds a record per graph
-as it goes, passes it to every selected group and hands the graph's
+as it goes, checks every selected bound on it and hands the graph's
 reports to a sink before reading the next graph, and the public
 ``check_*`` functions also accept a plain ``Graph`` and build the record
 themselves.  Index values are ``math.fsum`` sums over the histogram, so
 a report does not depend on how the graph's vertices are labeled.
 
-Each check produces a BoundReport.  Slack is oriented so that
-``slack >= -tolerance`` is the uniform holds-test: rhs - lhs for upper
-bounds, lhs - rhs for lower bounds.  Equality detection is two-stage:
-numeric (|slack| within 1e-9 of scale) and then structural, against the
-family proven to be the equality class.  A numeric equality without the
-structural match is an anomaly and is never silently accepted.
+Each checked statement is one ``Bound`` row of the ``BOUNDS`` table, under
+its group name: its id, sides, sense, vacuity predicate and equality class.
+``Bound.check`` is the one place a bound is judged and its BoundReport
+built; ``BOUND_GROUPS`` and ``CHARACTERIZED_BOUNDS`` are read off the table.
+
+Slack is oriented so that ``slack >= -tolerance`` is the uniform
+holds-test: rhs - lhs for upper bounds, lhs - rhs for lower bounds.
+Equality detection is two-stage: numeric (|slack| within 1e-9 of scale)
+and then structural, against the family proven to be the equality class.
+A numeric equality without the structural match is an anomaly and is
+never silently accepted.  An identity compares exact integers: it holds
+only at slack 0 and has no equality class.
 
 Hypothesis notes.  The lower bounds assume no isolated edges (no K2
 component); isolated vertices are permitted, so equality cases such as a
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Literal
 
 from .families import (
     all_edges_join_equal_degrees,
@@ -83,6 +89,10 @@ class GraphRecord:
     def m1(self) -> int:
         return first_zagreb(self.stats)
 
+    @cached_property
+    def edge_degree_counts(self) -> dict[int, int]:
+        return self.stats.edge_degree_counts
+
 
 def _record(g: Graph | GraphRecord) -> GraphRecord:
     return g if isinstance(g, GraphRecord) else GraphRecord(g)
@@ -116,101 +126,136 @@ class BoundReport:
         )
 
 
-def _report(
-    bound_id: str,
-    rec: GraphRecord,
-    lhs: float,
-    rhs: float,
-    *,
-    lower: bool = False,
-    strict: bool = False,
-    vacuous: bool = False,
-    class_predicate: Callable[[Graph], bool] | None = None,
-) -> BoundReport:
-    # Integer sides such as m(m-1) become floats: exact below 2**53, and
-    # written as the integer would be below 1e12 (graphs under 10**6 edges).
-    lhs, rhs = float(lhs), float(rhs)
-    slack = lhs - rhs if lower else rhs - lhs
-    equality = not vacuous and abs(slack) <= EQUALITY_TOL * max(1.0, abs(rhs))
-    if vacuous:
-        holds = True
-    elif strict:
-        holds = slack > STRICT_MARGIN
-    else:
-        holds = slack >= -EQUALITY_TOL * max(1.0, abs(rhs))
-    match = bool(equality and class_predicate is not None and class_predicate(rec.graph))
-    return BoundReport(
-        bound_id=bound_id,
-        graph6=rec.graph6,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=holds,
-        equality=equality,
-        equality_class_match=match,
-        vacuous=vacuous,
-    )
+@dataclass(frozen=True, slots=True)
+class Bound:
+    """One checked statement: ``lhs <= rhs`` (``upper``), ``lhs >= rhs``
+    (``lower``), ``lhs < rhs`` by more than STRICT_MARGIN (``strict``) or
+    the exact integer equation ``lhs == rhs`` (``identity``).
+
+    ``sides`` returns (lhs, rhs) from a record, ``vacuous`` tells whether
+    the graph is outside the hypothesis, and ``equality_class`` is the
+    structural test of the proven equality class, or None.
+    """
+
+    id: str
+    sides: Callable[[GraphRecord], tuple[float, float]]
+    sense: Literal["upper", "lower", "strict", "identity"]
+    vacuous: Callable[[GraphRecord], bool]
+    equality_class: Callable[[Graph], bool] | None = None
+
+    def check(self, rec: GraphRecord) -> BoundReport:
+        """Judge the bound on one graph.  A vacuous report keeps its real
+        sides and slack, but the order-0 graph, outside every hypothesis and
+        with no index defined, reads 0, 0, 0 and its sides are never called."""
+        if rec.graph.n:
+            lhs, rhs = self.sides(rec)
+            vacuous = self.vacuous(rec)
+        else:
+            lhs = rhs = 0
+            vacuous = True
+        if self.sense == "identity":
+            slack = rhs - lhs
+            holds = equality = slack == 0
+        else:
+            # Integer sides such as m(m-1) become floats: exact below 2**53, and
+            # written as the integer would be below 1e12 (graphs under 10**6 edges).
+            lhs, rhs = float(lhs), float(rhs)
+            slack = lhs - rhs if self.sense == "lower" else rhs - lhs
+            scale = EQUALITY_TOL * max(1.0, abs(rhs))
+            equality = abs(slack) <= scale
+            holds = slack > STRICT_MARGIN if self.sense == "strict" else slack >= -scale
+        equality = equality and not vacuous
+        match = equality and self.equality_class is not None and self.equality_class(rec.graph)
+        return BoundReport(
+            bound_id=self.id,
+            graph6=rec.graph6,
+            lhs=float(lhs),
+            rhs=float(rhs),
+            slack=float(slack),
+            holds=holds or vacuous,
+            equality=equality,
+            equality_class_match=bool(match),
+            vacuous=vacuous,
+        )
 
 
+# group name -> its rows, in the order the group reports them
+BOUNDS: dict[str, tuple[Bound, ...]] = {}
+# group name -> its public check, as a callable returning the group's reports
+BOUND_GROUPS: dict[str, Callable[[Graph | GraphRecord], list[BoundReport]]] = {}
+
+
+def _group(name: str, *rows: Bound) -> Callable[[Callable], Callable]:
+    """Enter ``rows`` in the table as group ``name``; the decorated check goes
+    into BOUND_GROUPS, wrapped to return a list if it returns one report."""
+
+    def enter(check: Callable) -> Callable:
+        BOUNDS[name] = rows
+        BOUND_GROUPS[name] = check if len(rows) > 1 else lambda g: [check(g)]
+        return check
+
+    return enter
+
+
+def _never(r: GraphRecord) -> bool:
+    return False
+
+
+def _has_isolated_edge(r: GraphRecord) -> bool:
+    return r.stats.isolated_edges > 0
+
+
+def _edgeless(r: GraphRecord) -> bool:
+    return r.graph.m == 0
+
+
+def _nu(r: GraphRecord) -> int:
+    return r.graph.m - r.graph.n + r.stats.components
+
+
+@_group("so-shifted-upper", Bound(
+    "so-shifted-upper",
+    lambda r: (r.so_shifted, r.graph.m * math.sqrt((r.graph.m + 1) ** 2 + 4)),
+    "upper", _never, is_star_plus_isolated,
+))
 def check_so_shifted_upper(g: Graph | GraphRecord) -> BoundReport:
     """sombor_shifted(G) <= m*sqrt((m+1)^2 + 4); equality exactly on a star
     with m edges plus isolated vertices."""
-    rec = _record(g)
-    m = rec.graph.m
-    return _report(
-        "so-shifted-upper",
-        rec,
-        rec.so_shifted,
-        m * math.sqrt((m + 1) ** 2 + 4),
-        class_predicate=is_star_plus_isolated,
-    )
+    return BOUNDS["so-shifted-upper"][0].check(_record(g))
 
 
+@_group("so-red-upper", Bound(
+    "so-red-upper", lambda r: (r.so_red, r.graph.m * (r.graph.m - 1)),
+    "upper", _never, is_star_plus_isolated,
+))
 def check_so_red_upper(g: Graph | GraphRecord) -> BoundReport:
     """reduced_sombor(G) <= m(m-1); equality exactly on a star with m edges
     plus isolated vertices."""
-    rec = _record(g)
-    m = rec.graph.m
-    return _report(
-        "so-red-upper",
-        rec,
-        rec.so_red,
-        m * (m - 1),
-        class_predicate=is_star_plus_isolated,
-    )
+    return BOUNDS["so-red-upper"][0].check(_record(g))
 
 
 def _is_star(g: Graph) -> bool:
     return is_connected(g) and is_star_plus_isolated(g)
 
 
+def _not_a_tree(r: GraphRecord) -> bool:
+    return r.stats.components != 1 or r.graph.m != r.graph.n - 1
+
+
+@_group("tree-so-red-upper", Bound(
+    "tree-so-red-upper", lambda r: (r.so_red, (r.graph.n - 1) * (r.graph.n - 2)),
+    "upper", _not_a_tree, _is_star,
+))
 def check_tree_corollary(g: Graph | GraphRecord) -> BoundReport:
     """On trees: reduced_sombor(T) <= (n-1)(n-2), equality iff T is a star."""
-    rec = _record(g)
-    n = rec.graph.n
-    is_tree = rec.stats.components == 1 and rec.graph.m == n - 1
-    return _report(
-        "tree-so-red-upper",
-        rec,
-        rec.so_red,
-        (n - 1) * (n - 2),
-        vacuous=not is_tree,
-        class_predicate=_is_star,
-    )
+    return BOUNDS["tree-so-red-upper"][0].check(_record(g))
 
 
-def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
-    """For graphs with a dominating vertex and cyclomatic number nu <= n-2:
-    the sum of sqrt((n-1)^2 + d(v)^2) over the other vertices is at most
-    (n-nu-2)sqrt((n-1)^2+1) + nu*sqrt((n-1)^2+4) + sqrt((n-1)^2+(nu+1)^2),
-    with equality iff the graph is h_graph(n, nu)."""
-    rec = _record(g)
-    n = rec.graph.n
-    deg = rec.stats.degrees
-    nu = rec.graph.m - n + rec.stats.components
-    dominating = n >= 1 and max(deg) == n - 1
-    in_hypothesis = dominating and 0 <= nu <= n - 2
-    hub = deg.index(max(deg)) if n >= 1 else 0
+def _degree_sum_sides(r: GraphRecord) -> tuple[float, float]:
+    n = r.graph.n
+    deg = r.stats.degrees
+    nu = _nu(r)
+    hub = deg.index(max(deg))
     a = n - 1
     lhs = math.fsum(math.hypot(a, d) for v, d in enumerate(deg) if v != hub)
     rhs = (
@@ -218,16 +263,42 @@ def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
         + nu * math.sqrt(a * a + 4)
         + math.sqrt(a * a + (nu + 1) ** 2)
     )
-    return _report(
-        "degree-sum-upper",
-        rec,
-        lhs,
-        rhs,
-        vacuous=not in_hypothesis,
-        class_predicate=is_h_graph,
-    )
+    return lhs, rhs
 
 
+def _outside_degree_sum_hypothesis(r: GraphRecord) -> bool:
+    n = r.graph.n
+    return max(r.stats.degrees) != n - 1 or not 0 <= _nu(r) <= n - 2
+
+
+@_group("degree-sum-upper", Bound(
+    "degree-sum-upper", _degree_sum_sides, "upper", _outside_degree_sum_hypothesis, is_h_graph,
+))
+def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
+    """For graphs with a dominating vertex and cyclomatic number nu <= n-2:
+    the sum of sqrt((n-1)^2 + d(v)^2) over the other vertices is at most
+    (n-nu-2)sqrt((n-1)^2+1) + nu*sqrt((n-1)^2+4) + sqrt((n-1)^2+(nu+1)^2),
+    with equality iff the graph is h_graph(n, nu)."""
+    return BOUNDS["degree-sum-upper"][0].check(_record(g))
+
+
+def _epsilon1_sides(r: GraphRecord) -> tuple[int, int]:
+    counts = r.edge_degree_counts
+    high_sum_2 = sum(c * (i - 2) for i, c in counts.items() if i >= 3)
+    return counts.get(1, 0), 4 * r.graph.m - r.m1 + high_sum_2
+
+
+def _epsilon2_sides(r: GraphRecord) -> tuple[int, int]:
+    counts = r.edge_degree_counts
+    high_sum_1 = sum(c * (i - 1) for i, c in counts.items() if i >= 3)
+    return counts.get(2, 0), r.m1 - 3 * r.graph.m - high_sum_1
+
+
+@_group(
+    "epsilon-identities",
+    Bound("epsilon1-identity", _epsilon1_sides, "identity", _has_isolated_edge),
+    Bound("epsilon2-identity", _epsilon2_sides, "identity", _has_isolated_edge),
+)
 def check_epsilon_identities(g: Graph | GraphRecord) -> list[BoundReport]:
     """Exact integer identities for the counts of edge-degree-1 and
     edge-degree-2 edges, valid whenever there is no isolated edge:
@@ -236,77 +307,53 @@ def check_epsilon_identities(g: Graph | GraphRecord) -> list[BoundReport]:
         e2 = M1 - 3m - sum_{i>=3} e_i (i-1)
     """
     rec = _record(g)
-    vacuous = rec.stats.isolated_edges > 0
-    m = rec.graph.m
-    m1 = rec.m1
-    counts = rec.stats.edge_degree_counts
-    e1 = counts.get(1, 0)
-    e2 = counts.get(2, 0)
-    high_sum_2 = sum(c * (i - 2) for i, c in counts.items() if i >= 3)
-    high_sum_1 = sum(c * (i - 1) for i, c in counts.items() if i >= 3)
-    reports = []
-    for bound_id, lhs, rhs in (
-        ("epsilon1-identity", e1, 4 * m - m1 + high_sum_2),
-        ("epsilon2-identity", e2, m1 - 3 * m - high_sum_1),
-    ):
-        slack = rhs - lhs
-        holds = vacuous or slack == 0
-        reports.append(
-            BoundReport(
-                bound_id=bound_id,
-                graph6=rec.graph6,
-                lhs=float(lhs),
-                rhs=float(rhs),
-                slack=float(slack),
-                holds=holds,
-                equality=not vacuous and slack == 0,
-                equality_class_match=False,
-                vacuous=vacuous,
-            )
-        )
-    return reports
+    return [b.check(rec) for b in BOUNDS["epsilon-identities"]]
 
 
 def _is_path_or_cycle(g: Graph) -> bool:
     return is_path_graph(g) or is_cycle_graph(g)
 
 
+@_group("so-lower", Bound(
+    "so-lower",
+    lambda r: (r.so, SO_LOWER_COEFF * (3 * r.m1 - 4 * r.graph.m + 2 * math.sqrt(10) * r.graph.m)),
+    "lower", _has_isolated_edge, _is_path_or_cycle,
+))
 def check_so_lower_bound(g: Graph | GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     sombor(G) >= (1/3)(2*sqrt2 - sqrt5)(3*M1 - 4m + 2*sqrt10*m),
     with equality iff G is a path or a cycle."""
-    rec = _record(g)
-    m = rec.graph.m
-    rhs = SO_LOWER_COEFF * (3 * rec.m1 - 4 * m + 2 * math.sqrt(10) * m)
-    return _report(
-        "so-lower",
-        rec,
-        rec.so,
-        rhs,
-        lower=True,
-        vacuous=rec.stats.isolated_edges > 0,
-        class_predicate=_is_path_or_cycle,
-    )
+    return BOUNDS["so-lower"][0].check(_record(g))
 
 
+@_group("so-red-lower", Bound(
+    "so-red-lower",
+    lambda r: (r.so_red, SO_RED_LOWER_COEFF * (r.m1 - 2 * r.graph.m + math.sqrt(2) * r.graph.m)),
+    "lower", _has_isolated_edge, _is_path_or_cycle,
+))
 def check_so_red_lower_bound(g: Graph | GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     reduced_sombor(G) >= (sqrt2 - 1)(M1 - 2m + sqrt2*m),
     with equality iff G is a path or a cycle."""
-    rec = _record(g)
-    m = rec.graph.m
-    rhs = SO_RED_LOWER_COEFF * (rec.m1 - 2 * m + math.sqrt(2) * m)
-    return _report(
-        "so-red-lower",
-        rec,
-        rec.so_red,
-        rhs,
-        lower=True,
-        vacuous=rec.stats.isolated_edges > 0,
-        class_predicate=_is_path_or_cycle,
-    )
+    return BOUNDS["so-red-lower"][0].check(_record(g))
 
 
+@_group(
+    "zagreb-sandwich",
+    Bound("zagreb-so-upper", lambda r: (r.so, r.m1), "strict", _edgeless),
+    Bound(
+        "zagreb-so-lower", lambda r: (r.so, r.m1 / math.sqrt(2)),
+        "lower", _edgeless, all_edges_join_equal_degrees,
+    ),
+    Bound(
+        "zagreb-so-red-upper", lambda r: (r.so_red, r.m1 - 2 * r.graph.m),
+        "upper", _edgeless, every_edge_has_leaf_endpoint,
+    ),
+    Bound(
+        "zagreb-so-red-lower", lambda r: (r.so_red, (r.m1 - 2 * r.graph.m) / math.sqrt(2)),
+        "lower", _edgeless, all_edges_join_equal_degrees,
+    ),
+)
 def check_zagreb_sandwich(g: Graph | GraphRecord) -> list[BoundReport]:
     """The four first-Zagreb comparisons, vacuous on edgeless graphs:
 
@@ -316,77 +363,12 @@ def check_zagreb_sandwich(g: Graph | GraphRecord) -> list[BoundReport]:
         SO_red >= (M1-2m)/sqrt2  (equality iff every edge joins equal degrees)
     """
     rec = _record(g)
-    vacuous = rec.graph.m == 0
-    m1 = float(rec.m1)
-    so = rec.so
-    so_red = rec.so_red
-    reduced_cap = m1 - 2 * rec.graph.m
-    return [
-        _report("zagreb-so-upper", rec, so, m1, strict=True, vacuous=vacuous),
-        _report(
-            "zagreb-so-lower",
-            rec,
-            so,
-            m1 / math.sqrt(2),
-            lower=True,
-            vacuous=vacuous,
-            class_predicate=all_edges_join_equal_degrees,
-        ),
-        _report(
-            "zagreb-so-red-upper",
-            rec,
-            so_red,
-            reduced_cap,
-            vacuous=vacuous,
-            class_predicate=every_edge_has_leaf_endpoint,
-        ),
-        _report(
-            "zagreb-so-red-lower",
-            rec,
-            so_red,
-            reduced_cap / math.sqrt(2),
-            lower=True,
-            vacuous=vacuous,
-            class_predicate=all_edges_join_equal_degrees,
-        ),
-    ]
+    return [b.check(rec) for b in BOUNDS["zagreb-sandwich"]]
 
-
-BOUND_GROUPS: dict[str, Callable[[GraphRecord], list[BoundReport]]] = {
-    "so-shifted-upper": lambda rec: [check_so_shifted_upper(rec)],
-    "so-red-upper": lambda rec: [check_so_red_upper(rec)],
-    "tree-so-red-upper": lambda rec: [check_tree_corollary(rec)],
-    "degree-sum-upper": lambda rec: [check_degree_sum_bound(rec)],
-    "epsilon-identities": check_epsilon_identities,
-    "so-lower": lambda rec: [check_so_lower_bound(rec)],
-    "so-red-lower": lambda rec: [check_so_red_lower_bound(rec)],
-    "zagreb-sandwich": check_zagreb_sandwich,
-}
-
-# the bound_ids each group emits, in order
-GROUP_BOUND_IDS: dict[str, tuple[str, ...]] = {name: (name,) for name in BOUND_GROUPS} | {
-    "epsilon-identities": ("epsilon1-identity", "epsilon2-identity"),
-    "zagreb-sandwich": (
-        "zagreb-so-upper",
-        "zagreb-so-lower",
-        "zagreb-so-red-upper",
-        "zagreb-so-red-lower",
-    ),
-}
 
 # bound_ids whose equality case has a proven structural characterization
 CHARACTERIZED_BOUNDS = frozenset(
-    {
-        "so-shifted-upper",
-        "so-red-upper",
-        "tree-so-red-upper",
-        "degree-sum-upper",
-        "so-lower",
-        "so-red-lower",
-        "zagreb-so-lower",
-        "zagreb-so-red-upper",
-        "zagreb-so-red-lower",
-    }
+    b.id for rows in BOUNDS.values() for b in rows if b.equality_class is not None
 )
 
 
@@ -413,50 +395,28 @@ def run_suite(
     """Evaluate the selected bound groups on every graph.
 
     ``graphs`` may be a lazy iterable of graphs or records; it is read
-    once, one graph at a time.  ``bounds`` is a list of BOUND_GROUPS
-    keys; None means all of them.
-    Each graph's reports (one per emitted bound, in group order) are
-    passed to ``sink`` before the next graph is read, and then dropped:
-    the returned summary keeps only the tallies and the violation and
-    anomaly reports, so memory grows with the flagged reports alone.
-    The order-0 graph is outside every bound's hypothesis and the indices
-    are undefined on it, so its reports are vacuous with lhs, rhs and
-    slack 0, and no index is evaluated.
+    once, one graph at a time.  ``bounds`` is a list of group names (the
+    keys of BOUNDS); None means all of them.
+    Each graph's reports (one per row of the selected groups, in group
+    order) are passed to ``sink`` before the next graph is read, and then
+    dropped: the returned summary keeps only the tallies and the violation
+    and anomaly reports, so memory grows with the flagged reports alone.
     """
     if bounds is None:
-        selected = list(BOUND_GROUPS)
+        selected = list(BOUNDS)
     else:
         selected = list(bounds)
-        unknown = [b for b in selected if b not in BOUND_GROUPS]
+        unknown = [b for b in selected if b not in BOUNDS]
         if unknown:
-            raise ValueError(
-                f"unknown bound id(s) {unknown}; known: {sorted(BOUND_GROUPS)}"
-            )
+            raise ValueError(f"unknown bound id(s) {unknown}; known: {sorted(BOUNDS)}")
+    rows = [b for name in selected for b in BOUNDS[name]]
     n_graphs = n_reports = holds = equality = vacuous = 0
     violations: list[BoundReport] = []
     anomalies: list[BoundReport] = []
     for g in graphs:
         n_graphs += 1
         rec = _record(g)
-        reports: list[BoundReport] = []
-        for name in selected:
-            if rec.graph.n:
-                reports.extend(BOUND_GROUPS[name](rec))
-                continue
-            reports.extend(
-                BoundReport(
-                    bound_id=bound_id,
-                    graph6=rec.graph6,
-                    lhs=0.0,
-                    rhs=0.0,
-                    slack=0.0,
-                    holds=True,
-                    equality=False,
-                    equality_class_match=False,
-                    vacuous=True,
-                )
-                for bound_id in GROUP_BOUND_IDS[name]
-            )
+        reports = [b.check(rec) for b in rows]
         n_reports += len(reports)
         for r in reports:
             holds += r.holds and not r.vacuous

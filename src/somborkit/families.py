@@ -11,7 +11,6 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import Graph, delete_vertex, graph_from_edges, is_connected
@@ -108,29 +107,6 @@ FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
     "h_graph": (h_graph, ("n", "nu")),
     "star_plus_isolated": (star_plus_isolated, ("m", "n")),
 }
-
-
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
-    """A named family instance: kind plus its integer parameters.
-
-    ``nu`` is used by h_graph only, ``m`` by star_plus_isolated only.
-    """
-
-    kind: str
-    n: int
-    nu: int | None = None
-    m: int | None = None
-
-    def build(self) -> Graph:
-        if self.kind not in FAMILIES:
-            raise ValueError(f"unknown family kind {self.kind!r} (one of {tuple(FAMILIES)})")
-        builder, names = FAMILIES[self.kind]
-        params = [getattr(self, name) for name in names]
-        for name, value in zip(names, params):
-            if value is None:
-                raise ValueError(f"{self.kind} needs {name}")
-        return builder(*params)
 
 
 # -- structural membership tests (no isomorphism search needed) -------------

@@ -235,7 +235,7 @@ def test_criterion_7_zagreb_sandwich(full_universe, connected_universe):
     reason="the degree-sequence majorization claim is false as stated: "
     "K4 plus a pendant (DJ{, n=5, nu=3) has degree sequence (4,3,3,3,1) "
     "which is incomparable with (4,4,2,2,2); twelve more such "
-    "hub-plus-clique graphs exist for n<=7 (see notes/decisions ledger)",
+    "hub-plus-clique graphs exist for n<=7 (see README.md, section \"Bound checks\")",
 )
 def test_criterion_8_degree_sequence_majorization(connected_universe):
     failures = []

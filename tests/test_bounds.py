@@ -217,6 +217,68 @@ def test_run_suite_order_zero_needs_no_index():
     )
 
 
+def test_bound_table_keeps_the_groups_and_ids_in_order():
+    groups = {
+        "so-shifted-upper": ("so-shifted-upper",),
+        "so-red-upper": ("so-red-upper",),
+        "tree-so-red-upper": ("tree-so-red-upper",),
+        "degree-sum-upper": ("degree-sum-upper",),
+        "epsilon-identities": ("epsilon1-identity", "epsilon2-identity"),
+        "so-lower": ("so-lower",),
+        "so-red-lower": ("so-red-lower",),
+        "zagreb-sandwich": (
+            "zagreb-so-upper",
+            "zagreb-so-lower",
+            "zagreb-so-red-upper",
+            "zagreb-so-red-lower",
+        ),
+    }
+    table = {name: tuple(b.id for b in rows) for name, rows in bounds.BOUNDS.items()}
+    assert list(table.items()) == list(groups.items())
+    assert list(BOUND_GROUPS) == list(groups)
+    assert sum(map(len, table.values())) == 12
+    g = h_graph(6, 2)
+    for name, ids in groups.items():
+        assert tuple(r.bound_id for r in BOUND_GROUPS[name](g)) == ids
+
+
+def test_characterized_bounds_are_the_rows_with_an_equality_class():
+    assert bounds.CHARACTERIZED_BOUNDS == {
+        "so-shifted-upper",
+        "so-red-upper",
+        "tree-so-red-upper",
+        "degree-sum-upper",
+        "so-lower",
+        "so-red-lower",
+        "zagreb-so-lower",
+        "zagreb-so-red-upper",
+        "zagreb-so-red-lower",
+    }
+
+
+def test_bound_sides_are_never_called_on_the_order_zero_graph():
+    def undefined(rec):
+        raise AssertionError("called on the order-0 graph")
+
+    row = bounds.Bound("probe", undefined, "upper", undefined, undefined)
+    r = row.check(GraphRecord(graph_from_edges(0, [])))
+    assert (r.bound_id, r.graph6, r.lhs, r.rhs, r.slack) == ("probe", "?", 0.0, 0.0, 0.0)
+    assert r.vacuous and r.holds and not r.equality and not r.equality_class_match
+
+
+def test_identity_holds_only_at_zero_slack():
+    rec = GraphRecord(path(4))
+
+    def check(sense, lhs, rhs):
+        return bounds.Bound("probe", lambda _: (lhs, rhs), sense, lambda _: False).check(rec)
+
+    for lhs, rhs in ((3, 4), (4, 3)):
+        r = check("identity", lhs, rhs)
+        assert not r.holds and r.violation and not r.equality and r.slack == rhs - lhs
+    assert check("identity", 4, 4).holds and check("identity", 4, 4).equality
+    assert check("upper", 3, 4).holds
+
+
 def test_run_suite_summary_tallies_the_reports_it_hands_on(connected_universe, full_universe):
     """The summary keeps only the tallies and the violation and anomaly
     reports, and they are those of the reports the sink received."""

@@ -4,7 +4,6 @@ import pytest
 
 from somborkit.enumeration import canonical_form
 from somborkit.families import (
-    FamilySpec,
     all_edges_join_equal_degrees,
     complete,
     cycle,
@@ -105,16 +104,6 @@ def test_closed_forms_match_edge_sums(n):
         so_red = reduced_sombor(g)
         assert abs(so - max_sombor_value(n, nu)) <= 1e-9 * so
         assert abs(so_red - max_reduced_sombor_value(n, nu)) <= 1e-9 * max(1.0, so_red)
-
-
-def test_family_spec_dispatch():
-    assert FamilySpec("h_graph", 5, nu=2).build() == h_graph(5, 2)
-    assert FamilySpec("star_plus_isolated", 6, m=3).build() == star_plus_isolated(3, 6)
-    assert FamilySpec("cycle", 5).build() == cycle(5)
-    with pytest.raises(ValueError):
-        FamilySpec("h_graph", 5).build()
-    with pytest.raises(ValueError):
-        FamilySpec("blob", 5).build()
 
 
 def test_membership_predicates():
