@@ -67,14 +67,17 @@ Generation
     orbit is never skipped.  Deduplication stays global, so no child
     needs to be the only one of its class.
 
-    The cycle-edge test stays cheap.  A child that passes the test over
-    all its edges passes it over its cycle edges, so only a child that
-    fails is tested again.  A non-bridge of the parent stays one in every
+    One rank test serves the three chains.  Every other child edge
+    keeps its parent endpoint-degree sum or gains 1, so with t the sum of
+    the new edge in the child only parent edges of sum t - 1 or more can
+    tie with it or beat it.  Each parent's edges are sorted by sum once
+    and walked from the largest for every non-edge grown.  Among the
+    children of connected parents an edge that stays a bridge of the
+    child does not count: a non-bridge of the parent stays one in every
     child, and a parent bridge stays a bridge unless the new edge joins
-    its two sides, so without parent bridges the two tests agree.  Only
-    parent edges of the largest sums are asked whether they are bridges,
-    each once per parent at most, by a bitset search that stops when it
-    meets the other endpoint.
+    its two sides.  An edge on a triangle is no bridge; any other parent
+    edge is asked whether it is one at most once, by a bitset search that
+    stops when it meets the other endpoint.
 
     A level at or below the middle is the union of its two chains.
     Above the middle (2m > C(n,2)) a level is the canonical forms of the
@@ -282,52 +285,40 @@ def _two_component_split(rows: tuple[int, ...]) -> int:
     return side if _reachable(rows, (rest & -rest).bit_length() - 1) == rest else 0
 
 
-def _bridge_side(
-    rows: tuple[int, ...], memo: dict[tuple[int, int], int], e: tuple[int, int]
-) -> int:
-    """The vertices that x reaches without the edge e = xy when e is a
-    bridge, else 0; kept in ``memo``.  An edge on a triangle is no
-    bridge; otherwise a bitset search from x stops once it meets y."""
-    side = memo.get(e)
-    if side is None:
-        x, y = e
-        side = 0
-        if not rows[x] & rows[y]:
-            seen = 1 << x
-            frontier = rows[x] ^ 1 << y
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                while frontier:
-                    nxt |= rows[(frontier & -frontier).bit_length() - 1]
-                    frontier &= frontier - 1
-                if nxt >> y & 1:
-                    break
-                frontier = nxt & ~seen
-            else:
-                side = seen
-        memo[e] = side
-    return side
+def _bridge_side(rows: tuple[int, ...], x: int, y: int) -> int:
+    """The vertices that x reaches without the edge xy when xy is a
+    bridge, else 0, by a bitset search from x that stops once it meets y."""
+    seen = 1 << x
+    frontier = rows[x] ^ 1 << y
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        while frontier:
+            nxt |= rows[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        if nxt >> y & 1:
+            return 0
+        frontier = nxt & ~seen
+    return seen
 
 
 def _children_of_chunk(args: tuple[int, tuple[int, ...], bool, bool]) -> set[int]:
     """Canonical keys of the children of the parent keys that are
     ``connected`` (or not) and whose new edge uv ranks first among the
-    child's edges, trying one non-edge per orbit of twin swaps in each
-    parent.  With ``cyclic`` the parents are connected, and uv need rank
-    first only among the child's cycle edges (its non-bridges).
+    child's edges that count, trying one non-edge per orbit of twin swaps
+    in each parent.  Every edge counts, except that with ``cyclic`` (the
+    parents are connected) only the child's non-bridges do.  A child of a
+    disconnected parent is connected iff the parent has two components
+    and uv joins them.
 
     The rank of an edge is (endpoint-degree sum, triangle count, sum of
     the endpoints' neighbour degrees).  Every other child edge keeps its
     parent sum or gains 1 (it can share at most one endpoint with uv), so
-    with t = d(u) + d(v) + 2 in the child and M the largest parent sum,
-    uv has the largest sum iff t > M, or t == M and no parent edge of sum
-    M touches u or v.  The edges that can tie with it on the sum are the
-    parent edges of sum t away from u and v and those of sum t - 1 at u
-    or v; only those are ranked further.  A child that passes this test
-    passes the cycle-edge test too, so bridges are looked for only when
-    it fails.  A child of a disconnected parent is connected iff the
-    parent has two components and uv joins them.
+    with t = d(u) + d(v) + 2 in the child only the parent edges of sum
+    t - 1 or more can tie with uv or beat it.  They are walked in order of
+    descending sum: one that sums below t in the child is passed over, so
+    is one that stays a bridge of the child when bridges do not count,
+    one that sums above t rejects uv, and the ties are ranked further.
     """
     n, chunk, cyclic, connected = args
     out: set[int] = set()
@@ -339,24 +330,16 @@ def _children_of_chunk(args: tuple[int, tuple[int, ...], bool, bool]) -> set[int
             continue  # no child of this parent is connected
         deg = [r.bit_count() for r in rows]
         nsum = [0] * n  # the sum of each vertex's neighbours' degrees
-        by_sum: dict[int, list[tuple[int, int]]] = {}
+        edges = []  # (endpoint-degree sum, x, y), largest sum first
         for x in range(n):
             for y in range(x + 1, n):
                 if rows[x] >> y & 1:
-                    by_sum.setdefault(deg[x] + deg[y], []).append((x, y))
+                    edges.append((deg[x] + deg[y], x, y))
                     nsum[x] += deg[y]
                     nsum[y] += deg[x]
+        edges.sort(reverse=True)
         twins = _twin_masks(rows)
-        top = max(by_sum, default=-1)
-        at_top = by_sum.get(top, [])
-        below_top = by_sum.get(top - 1, [])
-        hot = 0  # endpoints of the edges of sum top
-        for x, y in at_top:
-            hot |= 1 << x | 1 << y
         sides: dict[tuple[int, int], int] = {}  # _bridge_side of the parent edges asked about
-        # top and (part of) hot over the parent edges that count: all, or
-        # the non-bridges of a connected parent, cycle edges of every child
-        cycle_top, cycle_hot = _cycle_rank(rows, by_sum, sides) if cyclic else (top, hot)
         for u in range(n):
             if twins[u] & ((1 << u) - 1):
                 continue  # a swap with a smaller twin maps uv to a smaller pair
@@ -367,90 +350,32 @@ def _children_of_chunk(args: tuple[int, tuple[int, ...], bool, bool]) -> set[int
                     continue  # uv joins the two components iff the child is to be connected
                 t = deg[u] + deg[v] + 2
                 ends = 1 << u | 1 << v
-                if t < cycle_top or (t == cycle_top and cycle_hot & ends):
-                    continue  # outranked on the sum by an edge that counts
+                tied: list[tuple[int, int]] | None = []
+                for s, x, y in edges:
+                    if s < t - 1:
+                        break
+                    s += (ends >> x | ends >> y) & 1  # the sum in the child
+                    if s < t:
+                        continue
+                    if cyclic and not rows[x] & rows[y]:  # one on a triangle is no bridge
+                        side = sides.get((x, y))
+                        if side is None:
+                            side = sides[x, y] = _bridge_side(rows, x, y)
+                        if side and not (side >> u ^ side >> v) & 1:
+                            continue  # a bridge of the child
+                    if s > t:
+                        tied = None
+                        break
+                    tied.append((x, y))
+                if tied is None:
+                    continue  # outranked on the sum
                 grown = list(rows)
                 grown[u] |= 1 << v
                 grown[v] |= 1 << u
-                if t < top or (t == top and hot & ends):
-                    # a connected parent, whose edges that outrank uv on
-                    # the sum may all be bridges of the child
-                    if _cycle_outranked(rows, grown, deg, nsum, by_sum, sides, u, v):
-                        continue
-                else:
-                    if t == top:
-                        rivals = at_top + [e for e in below_top if ends & (1 << e[0] | 1 << e[1])]
-                    elif t == top + 1:
-                        rivals = [e for e in at_top if ends & (1 << e[0] | 1 << e[1])]
-                    else:
-                        rivals = []
-                    rival = rivals and _outranking(rows, grown, deg, nsum, u, v, rivals)
-                    if rival:
-                        if not cyclic:
-                            continue
-                        side = _bridge_side(rows, sides, rival)
-                        if not side or (side >> u ^ side >> v) & 1:
-                            continue  # the rival is a cycle edge of the child
-                        if _cycle_outranked(rows, grown, deg, nsum, by_sum, sides, u, v):
-                            continue
+                if tied and _outranking(rows, grown, deg, nsum, u, v, tied):
+                    continue
                 out.add(_canonical_key(n, tuple(grown)))
     return out
-
-
-def _cycle_rank(
-    rows: tuple[int, ...],
-    by_sum: dict[int, list[tuple[int, int]]],
-    sides: dict[tuple[int, int], int],
-) -> tuple[int, int]:
-    """The largest endpoint-degree sum of a non-bridge of a connected
-    parent (-1 for a tree), and the endpoints of some of its non-bridges
-    of that sum: those on a triangle if there are any, else all.  Adding
-    an edge makes no non-bridge a bridge."""
-    for s in sorted(by_sum, reverse=True):
-        hot = 0
-        for x, y in by_sum[s]:
-            if rows[x] & rows[y]:
-                hot |= 1 << x | 1 << y
-        if not hot:
-            for e in by_sum[s]:
-                if not _bridge_side(rows, sides, e):
-                    hot |= 1 << e[0] | 1 << e[1]
-        if hot:
-            return s, hot
-    return -1, 0
-
-
-def _cycle_outranked(
-    rows: tuple[int, ...],
-    grown: list[int],
-    deg: list[int],
-    nsum: list[int],
-    by_sum: dict[int, list[tuple[int, int]]],
-    sides: dict[tuple[int, int], int],
-    u: int,
-    v: int,
-) -> bool:
-    """Whether a cycle edge of the child ``grown`` = parent + uv of a
-    connected parent outranks uv.  A parent bridge stays a bridge of the
-    child unless u and v lie on its two sides; a parent non-bridge stays
-    a non-bridge."""
-    t = deg[u] + deg[v] + 2
-    ends = 1 << u | 1 << v
-    tied = []
-    for s in sorted(by_sum, reverse=True):
-        if s < t - 1:
-            break
-        for e in by_sum[s]:
-            child_sum = s + (ends >> e[0] & 1) + (ends >> e[1] & 1)
-            if child_sum < t:
-                continue
-            side = _bridge_side(rows, sides, e)
-            if side and not (side >> u ^ side >> v) & 1:
-                continue  # a bridge of the child
-            if child_sum > t:
-                return True
-            tied.append(e)
-    return bool(tied) and _outranking(rows, grown, deg, nsum, u, v, tied) is not None
 
 
 def _outranking(
@@ -461,13 +386,13 @@ def _outranking(
     u: int,
     v: int,
     rivals: list[tuple[int, int]],
-) -> tuple[int, int] | None:
-    """The first child edge of ``rivals`` (all tied with the new edge uv
-    on the degree sum) that has more triangles than uv in the child
+) -> bool:
+    """Whether a child edge of ``rivals`` (all tied with the new edge uv
+    on the degree sum) has more triangles than uv in the child
     ``grown``, or as many and a larger sum of its endpoints' neighbour
-    degrees; None if there is none.  ``deg`` and ``nsum`` are the
-    parent's degrees and neighbour-degree sums; in the child u and v
-    each gain one neighbour and one degree."""
+    degrees.  ``deg`` and ``nsum`` are the parent's degrees and
+    neighbour-degree sums; in the child u and v each gain one neighbour
+    and one degree."""
     ends = 1 << u | 1 << v
 
     def child_nsum(w: int) -> int:
@@ -479,13 +404,13 @@ def _outranking(
     for x, y in rivals:
         theirs = (grown[x] & grown[y]).bit_count()
         if theirs > triangles:
-            return x, y
+            return True
         if theirs == triangles:
             if mine < 0:
                 mine = child_nsum(u) + child_nsum(v)
             if child_nsum(x) + child_nsum(y) > mine:
-                return x, y
-    return None
+                return True
+    return False
 
 
 def _complement_keys(args: tuple[int, tuple[int, ...]]) -> list[int]:

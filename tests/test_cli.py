@@ -413,7 +413,7 @@ def _reference_row(r: BoundReport) -> str:
 def test_report_row_matches_the_generic_writer(connected_universe):
     """The typed row of every report of ``verify-bounds --n 1..7`` and of
     the order-0 graph is what the generic writer gives.  Sides that were
-    ints before ``_report`` made them floats, such as m(m-1), are written
+    ints before ``Bound.check`` made them floats, such as m(m-1), are written
     as the ints were, up to 12 digits."""
     reports = []
     universe = [g for n in range(1, 8) for g in connected_universe[n]]

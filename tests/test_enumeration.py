@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import networkx as nx
@@ -237,6 +237,72 @@ def test_generation_loses_no_class(n):
     """Every level with n <= 7 equals the unfiltered growth."""
     for m, level in enumerate(_unfiltered_levels(n)):
         assert enumeration._level(n, m) == tuple(sorted(level)), (n, m)
+
+
+def _reference_children(n, rows, cyclic, connected):
+    """Adjacency rows of the children that generation keeps of one parent,
+    from the rule itself: one non-edge uv per orbit of twin swaps (no
+    twin of u below u, none of v below v but u), a child that is
+    ``connected`` (or not), and uv ranked first by (degree sum, triangle
+    count, sum of the endpoints' neighbour degrees) among all child edges,
+    or among the child's non-bridges when ``cyclic``."""
+
+    def twins(a, b):
+        return rows[a] & ~(1 << b) == rows[b] & ~(1 << a)
+
+    edges = [(x, y) for x, y in combinations(range(n), 2) if rows[x] >> y & 1]
+    kept = []
+    for u, v in combinations(range(n), 2):
+        if rows[u] >> v & 1:
+            continue
+        if any(twins(u, w) for w in range(u)) or any(twins(v, w) for w in range(v) if w != u):
+            continue
+        child = graph_from_edges(n, [*edges, (u, v)])
+        if is_connected(child) != connected:
+            continue
+        deg = child.degrees()
+        nbrs = [[w for w in range(n) if child.rows[x] >> w & 1] for x in range(n)]
+
+        def rank(x, y):
+            return (
+                deg[x] + deg[y],
+                len(set(nbrs[x]) & set(nbrs[y])),
+                sum(deg[w] for w in nbrs[x] + nbrs[y]),
+            )
+
+        def is_bridge(e):
+            return not is_connected(graph_from_edges(n, [f for f in edges if f != e] + [(u, v)]))
+
+        counted = [e for e in edges if not (cyclic and is_bridge(e))]
+        if all(rank(*e) <= rank(u, v) for e in counted):
+            kept.append(child.rows)
+    return sorted(kept)
+
+
+def test_child_filter_matches_its_definition(monkeypatch):
+    """For every parent of every chain level with n <= 7, and of the n = 8
+    levels with m <= 9, the children handed to the canonical form are
+    those of the reference rule."""
+    handed = []
+    canonical_key = enumeration._canonical_key
+
+    def recorded(n, rows):
+        handed.append(rows)
+        return canonical_key(n, rows)
+
+    monkeypatch.setattr(enumeration, "_canonical_key", recorded)
+    levels = [(n, m) for n in range(8) for m in range(1, n * (n - 1) // 4 + 1)]
+    for n, m in levels + [(8, m) for m in range(1, 10)]:
+        for connected in (False, True):
+            if connected and m < n - 1:
+                continue
+            cyclic = connected and m >= n
+            for key in enumeration._chain(n, m - 1, cyclic):
+                rows = CanonicalForm(n, key).to_graph().rows
+                handed.clear()
+                enumeration._children_of_chunk((n, (key,), cyclic, connected))
+                expected = _reference_children(n, rows, cyclic, connected)
+                assert sorted(handed) == expected, (n, m, connected, key)
 
 
 def _reference_canonical_bits(n, rows):
