@@ -1,7 +1,8 @@
 """Checks for every proven bound and identity, on arbitrary graphs.
 
-Every bound here depends only on n, m, the component count and the
-histogram of endpoint-degree pairs.  So each graph is profiled once: a
+Every bound here, and every equality class, depends only on n, m, the
+component count and the histogram of endpoint-degree pairs, which fixes
+the degrees.  So each graph is profiled once: a
 ``GraphRecord`` holds its ``EdgeStats`` (one ``edge_stats`` call), its
 graph6 text (the text it was read from, or encoded once for a generated
 graph) and the four index values, each evaluated from the profile at
@@ -21,7 +22,7 @@ built; ``BOUND_GROUPS`` and ``CHARACTERIZED_BOUNDS`` are read off the table.
 Slack is oriented so that ``slack >= -tolerance`` is the uniform
 holds-test: rhs - lhs for upper bounds, lhs - rhs for lower bounds.
 Equality detection is two-stage: numeric (|slack| within 1e-9 of scale)
-and then structural, against the family proven to be the equality class.
+and then structural, by the ``families`` test of the proven class.
 A numeric equality without the structural match is an anomaly and is
 never silently accepted.  An identity compares exact integers: it holds
 only at slack 0 and has no equality class.
@@ -49,7 +50,7 @@ from .families import (
     is_path_graph,
     is_star_plus_isolated,
 )
-from .graphs import Graph, edge_stats, encode_graph6, is_connected
+from .graphs import EdgeStats, Graph, edge_stats, encode_graph6
 from .indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
 EQUALITY_TOL = 1e-9
@@ -133,15 +134,15 @@ class Bound:
     the exact integer equation ``lhs == rhs`` (``identity``).
 
     ``sides`` returns (lhs, rhs) from a record, ``vacuous`` tells whether
-    the graph is outside the hypothesis, and ``equality_class`` is the
-    structural test of the proven equality class, or None.
+    the graph is outside the hypothesis, and ``equality_class`` tests the
+    record's ``EdgeStats`` for the proven equality class, or is None.
     """
 
     id: str
     sides: Callable[[GraphRecord], tuple[float, float]]
     sense: Literal["upper", "lower", "strict", "identity"]
     vacuous: Callable[[GraphRecord], bool]
-    equality_class: Callable[[Graph], bool] | None = None
+    equality_class: Callable[[EdgeStats], bool] | None = None
 
     def check(self, rec: GraphRecord) -> BoundReport:
         """Judge the bound on one graph.  A vacuous report keeps its real
@@ -165,7 +166,7 @@ class Bound:
             equality = abs(slack) <= scale
             holds = slack > STRICT_MARGIN if self.sense == "strict" else slack >= -scale
         equality = equality and not vacuous
-        match = equality and self.equality_class is not None and self.equality_class(rec.graph)
+        match = equality and self.equality_class is not None and self.equality_class(rec.stats)
         return BoundReport(
             bound_id=self.id,
             graph6=rec.graph6,
@@ -234,8 +235,8 @@ def check_so_red_upper(g: Graph | GraphRecord) -> BoundReport:
     return BOUNDS["so-red-upper"][0].check(_record(g))
 
 
-def _is_star(g: Graph) -> bool:
-    return is_connected(g) and is_star_plus_isolated(g)
+def _is_star(s: EdgeStats) -> bool:
+    return s.components == 1 and is_star_plus_isolated(s)
 
 
 def _not_a_tree(r: GraphRecord) -> bool:
@@ -310,8 +311,8 @@ def check_epsilon_identities(g: Graph | GraphRecord) -> list[BoundReport]:
     return [b.check(rec) for b in BOUNDS["epsilon-identities"]]
 
 
-def _is_path_or_cycle(g: Graph) -> bool:
-    return is_path_graph(g) or is_cycle_graph(g)
+def _is_path_or_cycle(s: EdgeStats) -> bool:
+    return is_path_graph(s) or is_cycle_graph(s)
 
 
 @_group("so-lower", Bound(

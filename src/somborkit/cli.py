@@ -20,8 +20,9 @@ read and checked is the spool copied to the output (for ``verify-bounds``
 followed by the summary); a malformed line prints only its error, and
 ``--output FILE`` is then not created.  ``enumerate``,
 ``verify-bounds --n`` and ``verify-extremal`` check every requested level
-before building any.  ``enumerate`` writes each line as its level is
-built.  ``verify-extremal`` prints the verdict ``extremal_search`` gives
+before building any, and refuse a request that selects none.
+``enumerate`` writes each line as its level is built.
+``verify-extremal`` prints the verdict ``extremal_search`` gives
 each cell and builds no verdict of its own.
 """
 
@@ -179,9 +180,13 @@ def _m_values(args, n: int) -> list[int]:
 
 def _levels(args) -> list[tuple[int, list[int]]]:
     """(n, edge counts) for each requested order; every level is checked
-    before any is built."""
+    before any is built, and a request that selects none is refused."""
     n_lo, n_hi = _parse_range(args.n)
     levels = [(n, _m_values(args, n)) for n in range(n_lo, n_hi + 1)]
+    if not any(ms for _, ms in levels):
+        if args.nu is not None:
+            raise ValueError("no (n, nu) cell with 0 <= nu <= n-2 in the requested range")
+        raise ValueError("no (n, m) level with 0 <= m <= n(n-1)/2 in the requested range")
     for n, ms in levels:
         for m in ms:
             check_scope(n, m)
@@ -214,8 +219,6 @@ _extremal_columns = attrgetter("n", "nu", "universe_size", "max_value", "unique"
 
 def cmd_verify_extremal(args) -> int:
     cells = [(n, m - n + 1) for n, ms in _levels(args) for m in ms]
-    if not cells:
-        raise ValueError("no (n, nu) cell with 0 <= nu <= n-2 in the requested range")
     reports = []
     for n, nu in cells:
         try:

@@ -6,6 +6,9 @@ graphs with n vertices and cyclomatic number nu (0 <= nu <= n-2) it
 maximizes both the Sombor and the reduced Sombor index, and
 ``max_sombor_value`` / ``max_reduced_sombor_value`` give those maxima in
 closed form.
+
+Each membership test takes a graph or its ``EdgeStats`` and decides from
+that degree profile alone, with no edge walk or search.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .graphs import Graph, delete_vertex, graph_from_edges, is_connected
+from .graphs import EdgeStats, Graph, edge_stats, graph_from_edges
 
 
 def empty_graph(n: int) -> Graph:
@@ -109,76 +112,70 @@ FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
 }
 
 
-# -- structural membership tests (no isomorphism search needed) -------------
+# -- membership tests, decided from the degree profile ----------------------
 
 
-def is_path_graph(g: Graph) -> bool:
-    return (
-        g.n >= 1
-        and g.m == g.n - 1
-        and is_connected(g)
-        and all(d <= 2 for d in g.degrees())
-    )
+def _profile(g: Graph | EdgeStats) -> EdgeStats:
+    return g if isinstance(g, EdgeStats) else edge_stats(g)
 
 
-def is_cycle_graph(g: Graph) -> bool:
-    return g.n >= 3 and g.m == g.n and is_connected(g) and all(d == 2 for d in g.degrees())
+def is_path_graph(g: Graph | EdgeStats) -> bool:
+    s = _profile(g)
+    return s.components == 1 and s.m == s.n - 1 and all(d <= 2 for d in s.degrees)
 
 
-def is_star_plus_isolated(g: Graph) -> bool:
-    """True iff g is a star with m edges plus isolated vertices.
+def is_cycle_graph(g: Graph | EdgeStats) -> bool:
+    """Connected and 2-regular, which forces n >= 3 and m == n."""
+    s = _profile(g)
+    return s.components == 1 and all(d == 2 for d in s.degrees)
 
-    Edgeless graphs qualify (the star part degenerates to one vertex).
+
+def is_star_plus_isolated(g: Graph | EdgeStats) -> bool:
+    """True iff g is a star with m edges plus isolated vertices: every edge
+    joins degrees 1 and m.  Two vertices of degree m >= 2 would need 2m
+    edges, so at most one is the hub.  Edgeless graphs qualify (the star
+    part degenerates to one vertex)."""
+    s = _profile(g)
+    return all(pair == (1, s.m) for pair in s.endpoint_degree_counts)
+
+
+def h_degree_sequence(n: int, nu: int) -> tuple[int, ...]:
+    """Degree sequence of h_graph(n, nu): (n-1, nu+1, 2^nu, 1^(n-nu-2))."""
+    if not 0 <= nu <= n - 2:
+        raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
+    return (n - 1, nu + 1) + (2,) * nu + (1,) * (n - nu - 2)
+
+
+def is_h_graph(g: Graph | EdgeStats) -> bool:
+    """True iff g is h_graph(n, nu) for nu = m - (n-1): iff its sorted
+    degrees are ``h_degree_sequence(n, nu)``.
+
+    That sequence has exactly one realization.  A vertex of degree n-1 is
+    adjacent to every other vertex; deleting it leaves the degrees
+    (nu, 1^nu, 0^(n-nu-2)).  For nu >= 2 the vertex of degree nu can only
+    be adjacent to the nu vertices of degree 1, which it then saturates;
+    for nu <= 1 the rest is one edge or none.  Either way the rest is a
+    star with nu edges plus isolated vertices, so the graph is
+    h_graph(n, nu), which is also connected.
     """
-    if g.m == 0:
-        return True
-    deg = g.degrees()
-    for hub in range(g.n):
-        if deg[hub] == g.m:
-            others = g.rows[hub]
-            return all(
-                deg[v] == (1 if others >> v & 1 else 0)
-                for v in range(g.n)
-                if v != hub
-            )
-    return False
-
-
-def is_h_graph(g: Graph) -> bool:
-    """True iff g is h_graph(n, nu) for nu = m - (n-1).
-
-    Characterization: some vertex of full degree n-1 whose deletion leaves
-    a star with nu edges plus isolated vertices.
-    """
-    if g.n < 2 or not is_connected(g):
+    s = _profile(g)
+    nu = s.m - s.n + 1
+    if not 0 <= nu <= s.n - 2:
         return False
-    nu = g.m - (g.n - 1)
-    if not 0 <= nu <= g.n - 2:
-        return False
-    deg = g.degrees()
-    if max(deg) != g.n - 1:
-        return False
-    return any(
-        deg[v] == g.n - 1 and is_star_plus_isolated(delete_vertex(g, v))
-        for v in range(g.n)
-    )
+    return tuple(sorted(s.degrees, reverse=True)) == h_degree_sequence(s.n, nu)
 
 
-def is_regular(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    deg = g.degrees()
-    return all(d == deg[0] for d in deg)
+def is_regular(g: Graph | EdgeStats) -> bool:
+    s = _profile(g)
+    return len(set(s.degrees)) == 1
 
 
-def all_edges_join_equal_degrees(g: Graph) -> bool:
+def all_edges_join_equal_degrees(g: Graph | EdgeStats) -> bool:
     """True iff every edge joins two vertices of the same degree
     (equivalently: every component is regular)."""
-    deg = g.degrees()
-    return all(deg[u] == deg[v] for u, v in g.edges())
+    return all(i == j for i, j in _profile(g).endpoint_degree_counts)
 
 
-def every_edge_has_leaf_endpoint(g: Graph) -> bool:
+def every_edge_has_leaf_endpoint(g: Graph | EdgeStats) -> bool:
     """True iff every edge has an endpoint of degree 1."""
-    deg = g.degrees()
-    return all(deg[u] == 1 or deg[v] == 1 for u, v in g.edges())
+    return all(i == 1 for i, _ in _profile(g).endpoint_degree_counts)

@@ -25,8 +25,8 @@ graph6 codec
     graph6 characters by another translate.
 
 Degree profile
-    ``edge_stats`` returns what every index and bound reads: the
-    endpoint-degree pair histogram, the degrees and the component count.
+    ``edge_stats`` returns what every index, bound and family test reads:
+    the endpoint-degree pair histogram, the degrees and the component count.
     The histogram is counted per pair of degree classes: the rows of one
     class, packed into one int, are popcounted against the bit set of the
     other, copied into every row's lane.
@@ -155,7 +155,7 @@ def cyclomatic_number(g: Graph) -> int:
 
 @dataclass(frozen=True, slots=True)
 class EdgeStats:
-    """Degree profile of a graph: everything the indices and bounds read.
+    """Degree profile: everything the indices, bounds and family tests read.
 
     ``endpoint_degree_counts[(i, j)]`` with i <= j counts edges whose
     endpoint degrees are {i, j}; it sums to m.  ``degrees[v]`` is the

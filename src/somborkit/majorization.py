@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .families import h_degree_sequence
+
 SUM_TOL = 1e-12
 KARAMATA_TOL = 1e-9
 
@@ -113,9 +115,7 @@ def majorizing_degree_sequence(n: int, nu: int) -> tuple[int, ...]:
     with (4,4,2,2,2).  The strict-xfail acceptance criterion 8 and the
     README record this.
     """
-    if not 0 <= nu <= n - 2:
-        raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
-    return (n - 1, nu + 1) + (2,) * nu + (1,) * (n - nu - 2)
+    return h_degree_sequence(n, nu)
 
 
 def hypotenuse_term(a: float) -> Callable[[float], float]:

@@ -199,6 +199,29 @@ def test_verify_extremal_refuses_an_empty_range(cells, tmp_path, capsys):
     assert err == "error: no (n, nu) cell with 0 <= nu <= n-2 in the requested range\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["enumerate", "--n", "5", "--m", "20"], "no (n, m) level with 0 <= m <= n(n-1)/2"),
+        (["enumerate", "--n", "0..1", "--nu", "0"], "no (n, nu) cell with 0 <= nu <= n-2"),
+        (["verify-bounds", "--n", "3", "--nu", "5"], "no (n, nu) cell with 0 <= nu <= n-2"),
+        (["verify-bounds", "--n", "2..3", "--m", "4..9"],
+         "no (n, m) level with 0 <= m <= n(n-1)/2"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_a_request_that_selects_no_level_is_refused(argv, error, tmp_path, capsys):
+    dest = tmp_path / "out.txt"
+    rc, out, err = run(capsys, [*argv, "--output", str(dest)])
+    assert rc == 2 and out == "" and not dest.exists()
+    assert err == f"error: {error} in the requested range\n"
+
+
+def test_the_order_zero_level_is_a_level(capsys):
+    """``--n 0`` selects the level (0, 0); its connected universe is empty."""
+    assert run(capsys, ["enumerate", "--n", "0", "--universe", "connected"]) == (0, "", "")
+
+
 @pytest.mark.parametrize("index", ["so", "sored"])
 def test_verify_extremal_confirms_conjecture_cells(index, capsys):
     """The nu >= 5 cells (the range of the original uniqueness conjecture)
@@ -341,6 +364,28 @@ def test_runs_as_a_module(module):
     assert (done.returncode, done.stdout, done.stderr) == (0, "B?\nBG\nBW\nBw\n", "")
     done = run_module("enumerate", "--n", "11")
     assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
+
+
+def test_imports_only_the_standard_library():
+    """The package is pure stdlib: importing it, its CLI and its
+    majorization module, without site-packages, loads no other top-level
+    module.  Dunder names such as ``__mp_main__`` come from the runtime."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import somborkit, somborkit.cli, somborkit.majorization\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(name for name in new if name != 'somborkit'"
+        " and not name.startswith('__') and name not in sys.stdlib_module_names)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=_module_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from somborkit.enumeration import canonical_form
+from somborkit.enumeration import all_graphs, canonical_form
 from somborkit.families import (
     all_edges_join_equal_degrees,
     complete,
     cycle,
     empty_graph,
     every_edge_has_leaf_endpoint,
+    h_degree_sequence,
     h_graph,
     is_cycle_graph,
     is_h_graph,
@@ -24,8 +25,11 @@ from somborkit.families import (
 from somborkit.graphs import (
     cyclomatic_number,
     degree_sequence,
+    delete_vertex,
+    edge_stats,
     graph_from_edges,
     is_connected,
+    parse_graph6,
 )
 from somborkit.indices import reduced_sombor, sombor
 
@@ -122,8 +126,11 @@ def test_membership_predicates():
     assert is_h_graph(h_graph(7, 4)) and is_h_graph(star(5)) and is_h_graph(complete(3))
     assert not is_h_graph(path(4))
     assert not is_h_graph(star_plus_isolated(2, 5))  # disconnected
-    # right degree sequence but no dominating vertex
+    # right edge count for nu = 1, but degrees (2,2,2,2), not (3,2,2,1)
     assert not is_h_graph(cycle(4))
+    # K4 plus a pendant vertex: a dominating vertex, nu = 3, but degrees
+    # (4,3,3,3,1), not (4,4,2,2,2)
+    assert not is_h_graph(parse_graph6("DJ{"))
 
     assert is_regular(cycle(8)) and is_regular(complete(4)) and not is_regular(path(3))
     assert all_edges_join_equal_degrees(cycle(5))
@@ -131,3 +138,100 @@ def test_membership_predicates():
     assert all_edges_join_equal_degrees(k3_k2) and not is_regular(k3_k2)
     assert every_edge_has_leaf_endpoint(star(9))
     assert not every_edge_has_leaf_endpoint(path(4))
+
+
+# -- structural references: each family decided by walking the graph ---------
+
+
+def _ref_path(g):
+    return g.n >= 1 and g.m == g.n - 1 and is_connected(g) and all(d <= 2 for d in g.degrees())
+
+
+def _ref_cycle(g):
+    return g.n >= 3 and g.m == g.n and is_connected(g) and all(d == 2 for d in g.degrees())
+
+
+def _ref_star_plus_isolated(g):
+    if g.m == 0:
+        return True
+    deg = g.degrees()
+    for hub in range(g.n):
+        if deg[hub] == g.m:
+            return all(
+                deg[v] == (1 if g.rows[hub] >> v & 1 else 0) for v in range(g.n) if v != hub
+            )
+    return False
+
+
+def _ref_h_graph(g):
+    """A dominating vertex whose deletion leaves a star with nu edges plus
+    isolated vertices."""
+    nu = g.m - (g.n - 1)
+    if g.n < 2 or not is_connected(g) or not 0 <= nu <= g.n - 2:
+        return False
+    deg = g.degrees()
+    return any(
+        deg[v] == g.n - 1 and _ref_star_plus_isolated(delete_vertex(g, v)) for v in range(g.n)
+    )
+
+
+def _ref_regular(g):
+    deg = g.degrees()
+    return g.n > 0 and all(d == deg[0] for d in deg)
+
+
+def _ref_equal_degrees(g):
+    deg = g.degrees()
+    return all(deg[u] == deg[v] for u, v in g.edges())
+
+
+def _ref_leaf_endpoint(g):
+    deg = g.degrees()
+    return all(deg[u] == 1 or deg[v] == 1 for u, v in g.edges())
+
+
+PREDICATES = [
+    (is_path_graph, _ref_path),
+    (is_cycle_graph, _ref_cycle),
+    (is_star_plus_isolated, _ref_star_plus_isolated),
+    (is_h_graph, _ref_h_graph),
+    (is_regular, _ref_regular),
+    (all_edges_join_equal_degrees, _ref_equal_degrees),
+    (every_edge_has_leaf_endpoint, _ref_leaf_endpoint),
+]
+
+
+def _levels(n):
+    return [(m, all_graphs(n, m)) for m in range(n * (n - 1) // 2 + 1)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_profile_tests_match_the_structural_references(n):
+    """On every class of order n, each family test gives the same answer on
+    the graph, on its EdgeStats, and from the structural reference."""
+    hits = [0] * len(PREDICATES)
+    for _, level in _levels(n):
+        for g in level:
+            stats = edge_stats(g)
+            for k, (predicate, reference) in enumerate(PREDICATES):
+                expected = reference(g)
+                got = (predicate(g), predicate(stats))
+                assert got == (expected, expected), (predicate.__name__, g.rows)
+                hits[k] += expected
+    # from C3 on, every family has members
+    assert all(hits) or n < 3
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_h_degree_sequence_has_exactly_one_realization(n):
+    """For each nu, a class of order n has the degree sequence of
+    h_graph(n, nu) iff it is isomorphic to h_graph(n, nu)."""
+    for m, level in _levels(n):
+        nu = m - n + 1
+        if not 0 <= nu <= n - 2:
+            continue
+        h_form = canonical_form(h_graph(n, nu))
+        for g in level:
+            assert (degree_sequence(g) == h_degree_sequence(n, nu)) == (
+                canonical_form(g) == h_form
+            ), (n, nu)
