@@ -409,7 +409,7 @@ def run_suite(
         selected = list(bounds)
         unknown = [b for b in selected if b not in BOUNDS]
         if unknown:
-            raise ValueError(f"unknown bound id(s) {unknown}; known: {sorted(BOUNDS)}")
+            raise ValueError(f"unknown bound group(s) {unknown}; known: {sorted(BOUNDS)}")
     rows = [b for name in selected for b in BOUNDS[name]]
     n_graphs = n_reports = holds = equality = vacuous = 0
     violations: list[BoundReport] = []

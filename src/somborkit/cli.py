@@ -3,9 +3,9 @@
 Subcommands:
     compute          indices for graph6 lines (stdin or file) -> CSV
     construct        emit a named family instance as graph6
-    enumerate        isomorph-free universes as graph6 or CSV
+    enumerate        isomorph-free universes as graph6
     verify-extremal  brute-force maximizer reports over (n, nu) ranges
-    verify-bounds    bound checks over a universe or input file
+    verify-bounds    bound checks for graph6 lines (stdin or file)
 
 Output is deterministic: identical invocations produce byte-identical
 output regardless of --workers.  Exit status is 0 only when no violation,
@@ -18,12 +18,15 @@ rows to a spool, an unnamed temporary file in TMPDIR, so that their
 memory does not grow with the input.  Only once the whole input has been
 read and checked is the spool copied to the output (for ``verify-bounds``
 followed by the summary); a malformed line prints only its error, and
-``--output FILE`` is then not created.  ``enumerate``,
-``verify-bounds --n`` and ``verify-extremal`` check every requested level
-before building any, and refuse a request that selects none.
-``enumerate`` writes each line as its level is built.
-``verify-extremal`` prints the verdict ``extremal_search`` gives
-each cell and builds no verdict of its own.
+``--output FILE`` is then not created.  ``enumerate`` and
+``verify-extremal`` check every requested level before building any, and
+refuse a request that selects none.  ``enumerate`` writes each line as
+its level is built; a generated universe reaches ``compute`` and
+``verify-bounds`` through a pipe (``somborkit enumerate --n 1..7 |
+somborkit verify-bounds``).  ``verify-extremal`` prints the verdict
+``extremal_search`` gives each cell and builds no verdict of its own.
+When the reader of stdout goes away, the CLI joins its pool workers and
+ends on SIGPIPE, quietly, like any filter.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ from .enumeration import (
     check_scope,
     connected_graphs,
     extremal_search,
+    shutdown_pools,
 )
 from .families import FAMILIES
-from .graphs import Graph, Graph6Error, encode_graph6, graph6_header, parse_graph6
+from .graphs import Graph6Error, encode_graph6, graph6_header, parse_graph6
 
 
 def _fmt(value) -> str:
@@ -109,8 +113,11 @@ def _read_lines(path: str) -> Iterator[str]:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    a = int(lo)
-    b = int(hi) if sep else a
+    try:
+        a = int(lo)
+        b = int(hi) if sep else a
+    except ValueError:
+        raise ValueError(f"expected A or A..B, got {text!r}") from None
     if b < a:
         raise ValueError(f"empty range {text!r}")
     return a, b
@@ -193,23 +200,11 @@ def _levels(args) -> list[tuple[int, list[int]]]:
     return levels
 
 
-def _universe(args, levels: list[tuple[int, list[int]]]) -> Iterator[Graph]:
-    builder = connected_graphs if args.universe == "connected" else all_graphs
-    for n, ms in levels:
-        for m in ms:
-            yield from builder(n, m, workers=args.workers)
-
-
 def cmd_enumerate(args) -> int:
     levels = _levels(args)
-    graphs = _universe(args, levels)
-    if args.format == "graph6":
-        _write_lines(args.output, map(encode_graph6, graphs))
-        return 0
-    if args.universe == "all" and any(n == 0 and ms for n, ms in levels):
-        raise ValueError("index undefined on the order-0 graph")
-    rows = (_compute_row(GraphRecord(g)) for g in graphs)
-    _write_lines(args.output, chain([COMPUTE_HEADER], rows))
+    builder = connected_graphs if args.universe == "connected" else all_graphs
+    graphs = (g for n, ms in levels for m in ms for g in builder(n, m, workers=args.workers))
+    _write_lines(args.output, map(encode_graph6, graphs))
     return 0
 
 
@@ -276,13 +271,7 @@ def _report_row(r: BoundReport) -> str:
 
 def cmd_verify_bounds(args) -> int:
     selection = None if args.bounds == ["all"] else args.bounds
-    if args.input is not None:
-        graphs = (rec for _, rec in _input_records(args.input))
-    elif args.n is None:
-        print("error: need --input or --n with --universe", file=sys.stderr)
-        return 2
-    else:
-        graphs = _universe(args, _levels(args))
+    graphs = (rec for _, rec in _input_records(args.input))
     with _spool() as spool:
         summary = run_suite(
             graphs, selection, lambda reports: spool.writelines(map(_report_row, reports))
@@ -313,12 +302,6 @@ NU_HELP = (
 )
 
 
-def _add_edge_range(p: argparse.ArgumentParser) -> None:
-    levels = p.add_mutually_exclusive_group()
-    levels.add_argument("--m", default=None, help="edge count or range A..B")
-    levels.add_argument("--nu", default=None, help=NU_HELP)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="somborkit",
@@ -339,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="isomorph-free graph universes")
     p.add_argument("--n", required=True, help="order or range A..B")
-    _add_edge_range(p)
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument("--m", default=None, help="edge count or range A..B")
+    levels.add_argument("--nu", default=None, help=NU_HELP)
     p.add_argument("--universe", choices=["connected", "all"], default="connected")
-    p.add_argument("--format", choices=["graph6", "csv"], default="graph6")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_enumerate)
@@ -355,14 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_verify_extremal, m=None)
 
-    p = sub.add_parser("verify-bounds", help="bound checks over a universe or file")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--input", default=None, help="graph6 lines file or - for stdin")
-    source.add_argument("--n", default=None, help="order or range A..B (generated universe)")
-    _add_edge_range(p)
-    p.add_argument("--universe", choices=["connected", "all"], default="connected")
-    p.add_argument("--bounds", nargs="+", default=["all"], help="bound ids or 'all'")
-    p.add_argument("--workers", type=int, default=1)
+    p = sub.add_parser("verify-bounds", help="bound checks for graph6 input lines")
+    p.add_argument("--input", default="-", help="graph6 lines file or - for stdin")
+    p.add_argument("--bounds", nargs="+", default=["all"], help="bound groups or 'all'")
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_verify_bounds)
 
@@ -379,16 +358,26 @@ def main(argv=None) -> int:
     except Graph6Error as exc:  # a malformed input line, named in the message
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader of stdout went away: ``entry`` ends the process
+        raise
     except (ValueError, OSError) as exc:  # a bad argument, or a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:  # console-script hook
-    # stop quietly, like any filter, when the reader of stdout goes away
-    if hasattr(signal, "SIGPIPE"):
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: join the pool workers, which would
+        # otherwise wait for work forever, then stop quietly, like any filter
+        shutdown_pools()
+        if hasattr(signal, "SIGPIPE"):
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+            signal.raise_signal(signal.SIGPIPE)
+        raise
+    sys.exit(status)
 
 
 if __name__ == "__main__":

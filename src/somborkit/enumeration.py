@@ -91,7 +91,8 @@ Generation
     worker is built in chunks by one process pool per worker count:
     children below the middle, complement forms above it.  The pool is
     started at the first level that needs it and reused by every later
-    level and call in the process; interpreter exit joins its workers.
+    level and call in the process; interpreter exit, or
+    ``shutdown_pools``, joins its workers.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -430,11 +431,19 @@ _pools: dict[int, ProcessPoolExecutor] = {}
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The process's one pool of ``workers`` workers, started on first use.
-    It is never shut down here: interpreter exit joins its workers."""
+    Interpreter exit joins its workers."""
     pool = _pools.get(workers)
     if pool is None:
         pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
     return pool
+
+
+def shutdown_pools() -> None:
+    """Join the workers of every pool this process started.  A process
+    that ends on a signal must call this first: its forked workers would
+    otherwise wait for work forever, as orphans."""
+    while _pools:
+        _pools.popitem()[1].shutdown(cancel_futures=True)
 
 
 def _map_chunks(fn: Callable, n: int, keys: tuple[int, ...], workers: int, *flags: bool) -> list:

@@ -1,9 +1,12 @@
+import argparse
 import io
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -12,8 +15,8 @@ import pytest
 
 import somborkit
 from somborkit import cli, enumeration
-from somborkit.bounds import BoundReport, run_suite
-from somborkit.cli import main
+from somborkit.bounds import BOUNDS, BoundReport, run_suite
+from somborkit.cli import build_parser, main
 from somborkit.enumeration import canonical_form
 from somborkit.families import FAMILIES, h_graph, max_sombor_value, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
@@ -23,6 +26,24 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def pipe(capsys, monkeypatch):
+    """``pipe(argv, ...)`` runs each argv through ``main``, with the stdout
+    of the call before it as its stdin, like a shell pipeline under
+    ``set -o pipefail``: it returns the last nonzero status, the last
+    call's stdout and every call's stderr, in order."""
+
+    def run_pipe(*argvs):
+        rc, out, err = 0, "", ""
+        for argv in argvs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code, out, more = run(capsys, argv)
+            rc, err = code or rc, err + more
+        return rc, out, err
+
+    return run_pipe
 
 
 def test_compute_single_line(tmp_path, capsys):
@@ -127,29 +148,24 @@ def test_construct_builds_every_family_with_its_arity(kind, capsys):
 
 
 def test_level_options_are_exclusive(capsys):
-    """--m and --nu both select edge levels, and --input and --n both
-    select the graphs; giving both of a pair is a usage error."""
-    for argv in (
-        ["enumerate", "--n", "4", "--m", "5", "--nu", "0"],
-        ["verify-bounds", "--n", "4", "--m", "3", "--nu", "0"],
-        ["verify-bounds", "--input", "-", "--n", "4"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert "not allowed with argument" in captured.err
+    """--m and --nu both select edge levels; giving both is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "4", "--m", "5", "--nu", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
-def test_enumerate(capsys):
+def test_enumerate(capsys, pipe):
     rc, out, _ = run(capsys, ["enumerate", "--n", "4", "--m", "3", "--universe", "all"])
     assert rc == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert all(parse_graph6(line).m == 3 for line in lines)
 
-    rc, out, _ = run(
-        capsys, ["enumerate", "--n", "4", "--nu", "0", "--universe", "connected", "--format", "csv"]
+    rc, out, _ = pipe(
+        ["enumerate", "--n", "4", "--nu", "0", "--universe", "connected"],
+        ["compute"],
     )
     assert rc == 0
     lines = out.strip().splitlines()
@@ -204,9 +220,6 @@ def test_verify_extremal_refuses_an_empty_range(cells, tmp_path, capsys):
     [
         (["enumerate", "--n", "5", "--m", "20"], "no (n, m) level with 0 <= m <= n(n-1)/2"),
         (["enumerate", "--n", "0..1", "--nu", "0"], "no (n, nu) cell with 0 <= nu <= n-2"),
-        (["verify-bounds", "--n", "3", "--nu", "5"], "no (n, nu) cell with 0 <= nu <= n-2"),
-        (["verify-bounds", "--n", "2..3", "--m", "4..9"],
-         "no (n, m) level with 0 <= m <= n(n-1)/2"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -263,10 +276,10 @@ def test_verify_extremal_deterministic_across_workers(capsys):
     assert out1 == out2
 
 
-def test_verify_bounds_universe(capsys):
-    rc, out, err = run(
-        capsys,
-        ["verify-bounds", "--n", "5", "--universe", "connected", "--bounds", "zagreb-sandwich"],
+def test_verify_bounds_universe(pipe):
+    rc, out, err = pipe(
+        ["enumerate", "--n", "5", "--universe", "connected"],
+        ["verify-bounds", "--bounds", "zagreb-sandwich"],
     )
     assert rc == 0, err
     lines = out.strip().splitlines()
@@ -276,10 +289,10 @@ def test_verify_bounds_universe(capsys):
     assert lines[-1].endswith(",0,0")
 
 
-def test_verify_bounds_flags_known_degree_sum_failures(capsys):
-    rc, out, err = run(
-        capsys,
-        ["verify-bounds", "--n", "5", "--universe", "connected", "--bounds", "degree-sum-upper"],
+def test_verify_bounds_flags_known_degree_sum_failures(pipe):
+    rc, out, err = pipe(
+        ["enumerate", "--n", "5", "--universe", "connected"],
+        ["verify-bounds", "--bounds", "degree-sum-upper"],
     )
     assert rc == 1
     assert "violation" in err
@@ -295,13 +308,13 @@ def test_verify_bounds_from_file(tmp_path, capsys):
     assert len(rows) == 2
 
 
-def test_verify_bounds_reports_the_order_zero_graph(monkeypatch, capsys):
+def test_verify_bounds_reports_the_order_zero_graph(monkeypatch, capsys, pipe):
     """The order-0 graph gets 12 vacuous all-zero reports instead of
     aborting the run, from a generated universe and from input alike;
     the exit status then reflects the other graphs.  `compute` still
     rejects the line."""
     order_zero = ["?,0,0,0,true,false,false,true"] * 12
-    rc, out, err = run(capsys, ["verify-bounds", "--n", "0..1", "--universe", "all"])
+    rc, out, err = pipe(["enumerate", "--n", "0..1", "--universe", "all"], ["verify-bounds"])
     assert rc == 0, err
     lines = out.splitlines()
     assert [line.split(",", 1)[1] for line in lines[1:13]] == order_zero
@@ -391,54 +404,87 @@ def test_imports_only_the_standard_library():
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 @pytest.mark.parametrize(
     "argv",
-    [["enumerate", "--n", "7", "--universe", "all"], ["verify-bounds", "--n", "1..5"]],
-    ids=lambda argv: argv[0],
+    [
+        pytest.param(["enumerate", "--n", "7", "--universe", "all"], id="enumerate"),
+        pytest.param(["verify-bounds", "--input", "{}"], id="verify-bounds"),
+        # the first line written comes after a level built in the pool
+        pytest.param(
+            ["enumerate", "--n", "8", "--m", "10", "--universe", "all", "--workers", "2"],
+            id="enumerate-workers",
+        ),
+        pytest.param(["verify-extremal", "--n", "8", "--workers", "2"], id="verify-extremal-workers"),
+    ],
 )
-def test_a_closed_stdout_stops_the_cli_quietly(argv):
+def test_a_closed_stdout_stops_the_cli_quietly(argv, tmp_path):
     """Like any filter, the CLI ends on SIGPIPE when the reader of its
     output has gone (``somborkit enumerate ... | head -1``): no traceback,
-    and not exit 1, which means a violation or a bad input line."""
+    and not exit 1, which means a violation or a bad input line.  It
+    leaves no process behind: forked pool workers would otherwise wait
+    for work forever, as orphans.  Unbuffered, the CLI writes each line as
+    it prints it, so the write that fails comes while the pool is up."""
+    src = tmp_path / "in.g6"
+    src.write_text("D?{\nBW\n")
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "somborkit", *argv],
-            env=_module_env(),
+        child = subprocess.Popen(
+            [sys.executable, "-m", "somborkit", *(arg.format(src) for arg in argv)],
+            env={**_module_env(), "PYTHONUNBUFFERED": "1"},
             stdout=write_end,
             stderr=subprocess.PIPE,
-            timeout=60,
+            start_new_session=True,
         )
     finally:
         os.close(write_end)
-    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")
+    try:
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (-signal.SIGPIPE, b"")
+        for _ in range(50):
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.1)
+        else:
+            pytest.fail("a process of the CLI's group outlived it by 5 s")
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
-def test_enumerate_checks_every_level_before_writing(tmp_path, capsys):
+def test_enumerate_checks_every_level_before_writing(tmp_path, capsys, pipe):
     rc, out, err = run(capsys, ["enumerate", "--n", "8..10"])
     assert rc == 2 and out == "" and "capped at n <= 9" in err
     dest = tmp_path / "out.g6"
     rc, out, err = run(capsys, ["enumerate", "--n", "3..10", "--output", str(dest)])
     assert rc == 2 and not dest.exists()
     # the CSV row of the order-0 graph needs indices, which are undefined
-    rc, out, err = run(capsys, ["enumerate", "--n", "0..3", "--universe", "all", "--format", "csv"])
-    assert rc == 2 and out == "" and "order-0" in err
-    rc, out, err = run(capsys, ["enumerate", "--n", "0..2", "--format", "csv"])
+    rc, out, err = pipe(["enumerate", "--n", "0..3", "--universe", "all"], ["compute"])
+    assert rc == 1 and out == "" and "order-0" in err
+    rc, out, err = pipe(["enumerate", "--n", "0..2"], ["compute"])
     assert rc == 0 and out.splitlines()[0].startswith("graph6,") and len(out.splitlines()) == 3
 
 
-def test_verify_bounds_checks_every_level_before_building(monkeypatch, capsys):
+def test_verify_bounds_checks_every_level_before_building(monkeypatch, pipe):
+    """A refused ``enumerate`` builds no level and writes nothing, so the
+    pipe fails under pipefail, although ``verify-bounds`` on empty input
+    prints the all-zero summary and exits 0."""
+
     def build(*args, **kwargs):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(enumeration, "_level", build)
-    rc, out, err = run(capsys, ["verify-bounds", "--n", "3..10"])
-    assert (rc, out, err) == (2, "", "error: generation capped at n <= 9, got n=10\n")
+    rc, out, err = pipe(["enumerate", "--n", "3..10"], ["verify-bounds"])
+    assert (rc, err) == (2, "error: generation capped at n <= 9, got n=10\n")
+    assert out.splitlines()[-2:] == [cli.SUMMARY_HEADER, "0,0,0,0,0,0,0"]
 
 
-def test_verify_bounds_connected_census(capsys):
+def test_verify_bounds_connected_census(pipe):
     """Every bound over the 996 connected classes with 1 <= n <= 7: the
     only violations are the three known degree-sum counterexamples."""
-    rc, out, err = run(capsys, ["verify-bounds", "--n", "1..7"])
+    rc, out, err = pipe(["enumerate", "--n", "1..7"], ["verify-bounds"])
     assert (rc, err) == (1, "error: 3 violation(s), 0 anomaly(ies)\n")
     lines = out.splitlines()
     assert lines[-1] == "996,11952,10034,2090,1915,3,0"
@@ -456,10 +502,10 @@ def _reference_row(r: BoundReport) -> str:
 
 
 def test_report_row_matches_the_generic_writer(connected_universe):
-    """The typed row of every report of ``verify-bounds --n 1..7`` and of
-    the order-0 graph is what the generic writer gives.  Sides that were
-    ints before ``Bound.check`` made them floats, such as m(m-1), are written
-    as the ints were, up to 12 digits."""
+    """The typed row of every report of ``enumerate --n 1..7 |
+    verify-bounds`` and of the order-0 graph is what the generic writer
+    gives.  Sides that were ints before ``Bound.check`` made them floats,
+    such as m(m-1), are written as the ints were, up to 12 digits."""
     reports = []
     universe = [g for n in range(1, 8) for g in connected_universe[n]]
     run_suite([*universe, graph_from_edges(0, [])], sink=reports.extend)
@@ -479,12 +525,14 @@ def test_report_row_matches_the_generic_writer(connected_universe):
         assert cli._report_row(r) == _reference_row(replace(r, rhs=m * (m - 1)))
 
 
-def test_verify_bounds_full_universe_census(capsys):
+def test_verify_bounds_full_universe_census(pipe):
     """The four bounds proven on every graph, disconnected ones included,
     hold with no anomaly on all 208 classes with 1 <= n <= 6."""
     bounds = ["so-shifted-upper", "so-red-upper", "epsilon-identities", "zagreb-sandwich"]
-    argv = ["verify-bounds", "--n", "1..6", "--universe", "all", "--bounds", *bounds]
-    rc, out, err = run(capsys, argv)
+    rc, out, err = pipe(
+        ["enumerate", "--n", "1..6", "--universe", "all"],
+        ["verify-bounds", "--bounds", *bounds],
+    )
     assert (rc, err) == (0, "")
     assert out.splitlines()[-2:] == [
         "graphs,reports,holds,equality,vacuous,violations,anomalies",
@@ -496,7 +544,6 @@ def test_verify_bounds_full_universe_census(capsys):
     "argv",
     [
         ["enumerate", "--n", "5", "--nu=-1", "--universe", "all"],
-        ["verify-bounds", "--n", "5", "--nu=-1"],
         ["verify-extremal", "--n", "5", "--nu=-1"],
     ],
     ids=lambda argv: argv[0],
@@ -509,21 +556,62 @@ def test_negative_nu_is_refused(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["enumerate", "--n", "4"], ["verify-extremal", "--n", "4"], ["verify-bounds", "--n", "4"]],
+    [["enumerate", "--n", "4"], ["verify-extremal", "--n", "4"]],
     ids=lambda argv: argv[0],
 )
 def test_workers_must_be_positive(argv, capsys):
     assert run(capsys, [*argv, "--workers", "0"]) == (2, "", "error: --workers must be >= 1\n")
 
 
-def test_verify_bounds_unknown_bound(capsys):
-    rc, out, err = run(capsys, ["verify-bounds", "--n", "4", "--bounds", "sombor-magic"])
+@pytest.mark.parametrize("bad", ["3..x", "2..", "..3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "{}"],
+        ["enumerate", "--n", "4", "--m", "{}"],
+        ["enumerate", "--n", "4", "--nu", "{}"],
+        ["verify-extremal", "--n", "{}"],
+        ["verify-extremal", "--n", "4", "--nu", "{}"],
+    ],
+    ids=lambda argv: " ".join(argv[0:1] + argv[-2:-1]),
+)
+def test_a_malformed_range_is_refused(argv, bad, capsys):
+    argv = [arg.format(bad) for arg in argv]
+    assert run(capsys, argv) == (2, "", f"error: expected A or A..B, got {bad!r}\n")
+
+
+def test_verify_bounds_unknown_bound(pipe):
+    rc, out, err = pipe(["enumerate", "--n", "4"], ["verify-bounds", "--bounds", "sombor-magic"])
     assert rc == 2 and "unknown bound" in err
+    # --bounds takes group names; the report's bound_id column names rows
+    rc, out, err = pipe(["enumerate", "--n", "4"], ["verify-bounds", "--bounds", "zagreb-so-upper"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: unknown bound group(s) ['zagreb-so-upper']; known: {sorted(BOUNDS)}\n"
 
 
-def test_verify_bounds_needs_source(capsys):
-    rc, out, err = run(capsys, ["verify-bounds", "--bounds", "all"])
-    assert rc == 2 and "--input or --n" in err
+def _readme_usage() -> dict[str, set[str]]:
+    """The --options of each subcommand in README's usage block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    options: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("somborkit "):
+            command = options.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z-]+", line))
+    return options
+
+
+def test_readme_usage_lists_every_option():
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parser_options = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in subcommands.items()
+    }
+    assert _readme_usage() == parser_options
 
 
 def test_output_to_file(tmp_path, capsys):
