@@ -19,10 +19,13 @@ its group name: its id, sides, sense, vacuity predicate and equality class.
 ``Bound.check`` is the one place a bound is judged and its BoundReport
 built; ``BOUND_GROUPS`` and ``CHARACTERIZED_BOUNDS`` are read off the table.
 
-Slack is oriented so that ``slack >= -tolerance`` is the uniform
-holds-test: rhs - lhs for upper bounds, lhs - rhs for lower bounds.
-Equality detection is two-stage: numeric (|slack| within 1e-9 of scale)
-and then structural, by the ``families`` test of the proven class.
+Slack is oriented so that ``slack >= 0`` is the uniform holds-test:
+rhs - lhs for upper bounds, lhs - rhs for lower bounds.  Equality
+detection is two-stage: numeric (lhs and rhs tie under
+``indices._is_tie``, |slack| <= 1e-9 * max(1, |rhs|)) and then
+structural, by the ``families`` test of the proven class.  A numeric
+equality also counts as holding for an upper or lower bound and as
+failing for a strict one.
 A numeric equality without the structural match is an anomaly and is
 never silently accepted.  An identity compares exact integers: it holds
 only at slack 0 and has no equality class.
@@ -51,10 +54,7 @@ from .families import (
     is_star_plus_isolated,
 )
 from .graphs import EdgeStats, Graph, edge_stats, encode_graph6
-from .indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
-
-EQUALITY_TOL = 1e-9
-STRICT_MARGIN = 1e-9
+from .indices import _is_tie, first_zagreb, reduced_sombor, sombor, sombor_shifted
 
 SO_LOWER_COEFF = (2 * math.sqrt(2) - math.sqrt(5)) / 3
 SO_RED_LOWER_COEFF = math.sqrt(2) - 1
@@ -130,8 +130,10 @@ class BoundReport:
 @dataclass(frozen=True, slots=True)
 class Bound:
     """One checked statement: ``lhs <= rhs`` (``upper``), ``lhs >= rhs``
-    (``lower``), ``lhs < rhs`` by more than STRICT_MARGIN (``strict``) or
-    the exact integer equation ``lhs == rhs`` (``identity``).
+    (``lower``), ``lhs < rhs`` (``strict``) or the exact integer equation
+    ``lhs == rhs`` (``identity``).  Float sides that tie under
+    ``indices._is_tie`` are an equality: an upper or lower bound holds
+    there and a strict one does not.
 
     ``sides`` returns (lhs, rhs) from a record, ``vacuous`` tells whether
     the graph is outside the hypothesis, and ``equality_class`` tests the
@@ -162,9 +164,8 @@ class Bound:
             # written as the integer would be below 1e12 (graphs under 10**6 edges).
             lhs, rhs = float(lhs), float(rhs)
             slack = lhs - rhs if self.sense == "lower" else rhs - lhs
-            scale = EQUALITY_TOL * max(1.0, abs(rhs))
-            equality = abs(slack) <= scale
-            holds = slack > STRICT_MARGIN if self.sense == "strict" else slack >= -scale
+            equality = _is_tie(lhs, rhs)
+            holds = slack > 0 and not equality if self.sense == "strict" else slack >= 0 or equality
         equality = equality and not vacuous
         match = equality and self.equality_class is not None and self.equality_class(rec.stats)
         return BoundReport(
@@ -397,7 +398,8 @@ def run_suite(
 
     ``graphs`` may be a lazy iterable of graphs or records; it is read
     once, one graph at a time.  ``bounds`` is a list of group names (the
-    keys of BOUNDS); None means all of them.
+    keys of BOUNDS), each checked once in the order first named; None
+    means all of them.
     Each graph's reports (one per row of the selected groups, in group
     order) are passed to ``sink`` before the next graph is read, and then
     dropped: the returned summary keeps only the tallies and the violation
@@ -406,7 +408,7 @@ def run_suite(
     if bounds is None:
         selected = list(BOUNDS)
     else:
-        selected = list(bounds)
+        selected = list(dict.fromkeys(bounds))
         unknown = [b for b in selected if b not in BOUNDS]
         if unknown:
             raise ValueError(f"unknown bound group(s) {unknown}; known: {sorted(BOUNDS)}")

@@ -12,19 +12,20 @@ output regardless of --workers.  Exit status is 0 only when no violation,
 anomaly, parse error, or cap breach occurred; a file that cannot be
 opened prints its error and exits 2.
 
-Input is read one line at a time: ``compute`` and ``verify-bounds``
-parse and check each graph before reading the next, and write its CSV
-rows to a spool, an unnamed temporary file in TMPDIR, so that their
-memory does not grow with the input.  Only once the whole input has been
-read and checked is the spool copied to the output (for ``verify-bounds``
-followed by the summary); a malformed line prints only its error, and
-``--output FILE`` is then not created.  ``enumerate`` and
-``verify-extremal`` check every requested level before building any, and
-refuse a request that selects none.  ``enumerate`` writes each line as
-its level is built; a generated universe reaches ``compute`` and
-``verify-bounds`` through a pipe (``somborkit enumerate --n 1..7 |
-somborkit verify-bounds``).  ``verify-extremal`` prints the verdict
-``extremal_search`` gives each cell and builds no verdict of its own.
+Every CSV line is built by one typed f-string per row kind and written
+to a spool, an unnamed temporary file in TMPDIR, as it is decided: a
+``compute`` or ``verify-bounds`` row as its graph is read and checked,
+one graph at a time, so that memory does not grow with the input, and a
+``verify-extremal`` row as its cell is decided.  Only once the whole run
+has been checked is the spool copied to the output; a malformed line or
+an ambiguous cell prints only its error, and ``--output FILE`` is then
+not created.  ``enumerate`` and ``verify-extremal`` check every requested
+level before building any, and refuse a request that selects none.
+``enumerate`` writes each graph6 line as its level is built; a generated
+universe reaches ``compute`` and ``verify-bounds`` through a pipe
+(``somborkit enumerate --n 1..7 | somborkit verify-bounds``).
+``verify-extremal`` prints the verdict ``extremal_search`` gives each
+cell and builds no verdict of its own.
 When the reader of stdout goes away, the CLI joins its pool workers and
 ends on SIGPIPE, quietly, like any filter.
 """
@@ -37,8 +38,6 @@ import signal
 import sys
 import tempfile
 from contextlib import nullcontext
-from itertools import chain
-from operator import attrgetter
 from typing import IO, Iterable, Iterator
 
 from .bounds import BoundReport, GraphRecord, run_suite
@@ -46,6 +45,7 @@ from .enumeration import (
     INDEX_FUNCTIONS,
     SCOPE_MAX_N,
     AmbiguousMaximumError,
+    ExtremalReport,
     all_graphs,
     check_scope,
     connected_graphs,
@@ -55,17 +55,8 @@ from .enumeration import (
 from .families import FAMILIES
 from .graphs import Graph6Error, encode_graph6, graph6_header, parse_graph6
 
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _csv_line(values) -> str:
-    return ",".join(_fmt(v) for v in values)
+# CSV fields: floats as {:.12g}, booleans as _BOOL[flag], other values as str()
+_BOOL = ("false", "true")
 
 
 def _open_output(path: str):
@@ -73,27 +64,24 @@ def _open_output(path: str):
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write each line to a file, or to stdout for "-", as it is produced."""
+    """Write each graph6 line to a file, or to stdout for "-", as it is
+    produced."""
     with _open_output(path) as out:
         for line in lines:
             print(line, file=out)
 
 
 def _spool() -> IO[str]:
-    """An unnamed temporary file (in TMPDIR) that holds CSV rows, each
-    ending in a newline, until the whole input has been checked."""
+    """An unnamed temporary file (in TMPDIR) that holds a command's CSV
+    lines, each ending in a newline, until the whole run has been checked."""
     return tempfile.TemporaryFile("w+")
 
 
-def _write_spooled(path: str, header: str, spool: IO[str], trailer: Iterable[str] = ()) -> None:
-    """Write the header, the spooled rows (copied in blocks) and the
-    trailer lines to a file, or to stdout for "-"."""
+def _write_spooled(path: str, spool: IO[str]) -> None:
+    """Copy the spooled lines, in blocks, to a file, or to stdout for "-"."""
     spool.seek(0)
     with _open_output(path) as out:
-        print(header, file=out)
         shutil.copyfileobj(spool, out)
-        for line in trailer:
-            print(line, file=out)
 
 
 def _read_lines(path: str) -> Iterator[str]:
@@ -127,23 +115,25 @@ COMPUTE_HEADER = "graph6,n,m,nu,so,so_red,so_shifted,m1"
 
 
 def _compute_row(rec: GraphRecord) -> str:
+    """A graph's CSV row, newline included (m1, an int, is written as a float)."""
     g = rec.graph
     nu = g.m - g.n + rec.stats.components
-    return _csv_line(
-        [rec.graph6, g.n, g.m, nu, rec.so, rec.so_red, rec.so_shifted, float(rec.m1)]
+    return (
+        f"{rec.graph6},{g.n},{g.m},{nu},{rec.so:.12g},{rec.so_red:.12g},"
+        f"{rec.so_shifted:.12g},{float(rec.m1):.12g}\n"
     )
 
 
 def cmd_compute(args) -> int:
     with _spool() as spool:
+        print(COMPUTE_HEADER, file=spool)
         for lineno, rec in _input_records(args.input):
             try:
-                row = _compute_row(rec)
+                spool.write(_compute_row(rec))
             except ValueError as exc:  # the indices are undefined on the order-0 graph
                 print(f"error: line {lineno}: {exc}", file=sys.stderr)
                 return 1
-            print(row, file=spool)
-        _write_spooled(args.output, COMPUTE_HEADER, spool)
+        _write_spooled(args.output, spool)
     return 0
 
 
@@ -209,24 +199,31 @@ def cmd_enumerate(args) -> int:
 
 
 EXTREMAL_HEADER = "n,nu,universe_size,max_value,unique,gap,maximizer_graph6"
-_extremal_columns = attrgetter("n", "nu", "universe_size", "max_value", "unique", "runner_up_gap")
+
+
+def _extremal_row(r: ExtremalReport) -> str:
+    """A cell's CSV row, newline included; the gap of a cell with one graph is inf."""
+    maximizers = ";".join(map(encode_graph6, r.maximizers))
+    return (
+        f"{r.n},{r.nu},{r.universe_size},{r.max_value:.12g},{_BOOL[r.unique]},"
+        f"{r.runner_up_gap:.12g},{maximizers}\n"
+    )
 
 
 def cmd_verify_extremal(args) -> int:
     cells = [(n, m - n + 1) for n, ms in _levels(args) for m in ms]
-    reports = []
-    for n, nu in cells:
-        try:
-            reports.append(extremal_search(n, nu, args.index, workers=args.workers))
-        except AmbiguousMaximumError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    rows = (
-        _csv_line([*_extremal_columns(r), ";".join(map(encode_graph6, r.maximizers))])
-        for r in reports
-    )
-    _write_lines(args.output, chain([EXTREMAL_HEADER], rows))
-    failures = sum(not r.confirms_h for r in reports)
+    failures = 0
+    with _spool() as spool:
+        print(EXTREMAL_HEADER, file=spool)
+        for n, nu in cells:
+            try:
+                report = extremal_search(n, nu, args.index, workers=args.workers)
+            except AmbiguousMaximumError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            spool.write(_extremal_row(report))
+            failures += not report.confirms_h
+        _write_spooled(args.output, spool)
     if failures:
         print(
             f"error: {failures} cell(s) do not confirm h_graph(n, nu) as the unique"
@@ -257,12 +254,11 @@ def _input_records(path: str) -> Iterator[tuple[int, GraphRecord]]:
 
 BOUNDS_HEADER = "bound_id,graph6,lhs,rhs,slack,holds,equality,class_match,vacuous"
 SUMMARY_HEADER = "graphs,reports,holds,equality,vacuous,violations,anomalies"
-_BOOL = ("false", "true")
 
 
 def _report_row(r: BoundReport) -> str:
-    """A report's CSV row, newline included: its fields, in order, written
-    as ``_csv_line`` would write them (lhs, rhs and slack are floats)."""
+    """A report's CSV row, newline included: its fields, in order (lhs,
+    rhs and slack are floats)."""
     return (
         f"{r.bound_id},{r.graph6},{r.lhs:.12g},{r.rhs:.12g},{r.slack:.12g},{_BOOL[r.holds]},"
         f"{_BOOL[r.equality]},{_BOOL[r.equality_class_match]},{_BOOL[r.vacuous]}\n"
@@ -273,19 +269,16 @@ def cmd_verify_bounds(args) -> int:
     selection = None if args.bounds == ["all"] else args.bounds
     graphs = (rec for _, rec in _input_records(args.input))
     with _spool() as spool:
+        print(BOUNDS_HEADER, file=spool)
         summary = run_suite(
             graphs, selection, lambda reports: spool.writelines(map(_report_row, reports))
         )
-        tallies = [
-            summary.graphs,
-            summary.reports,
-            summary.holds,
-            summary.equality,
-            summary.vacuous,
-            len(summary.violations),
-            len(summary.anomalies),
-        ]
-        _write_spooled(args.output, BOUNDS_HEADER, spool, ["", SUMMARY_HEADER, _csv_line(tallies)])
+        spool.write(  # a blank line, the summary header and its tallies
+            f"\n{SUMMARY_HEADER}\n{summary.graphs},{summary.reports},{summary.holds},"
+            f"{summary.equality},{summary.vacuous},{len(summary.violations)},"
+            f"{len(summary.anomalies)}\n"
+        )
+        _write_spooled(args.output, spool)
     if not summary.ok:
         print(
             f"error: {len(summary.violations)} violation(s),"

@@ -107,13 +107,12 @@ from typing import Callable
 
 from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
 from .graphs import Graph, _reachable, is_connected, max_degree
-from .indices import edge_sum, reduced_sombor, sombor
+from .indices import _is_tie, edge_sum, reduced_sombor, sombor
 
 CANON_MAX_N = 10
 SCOPE_MAX_N = 9
 
 UNIQUENESS_GAP = 1e-6
-VALUE_TIE_TOL = 1e-9
 
 _HUGE = 1 << 70  # larger than any (n-1)-bit row encoding
 
@@ -532,8 +531,9 @@ class ExtremalReport:
     maximizers; it equals n-1 exactly when every maximizer has a
     dominating vertex.  ``confirms_h`` is the verdict on the cell: the
     maximizer is unique, ``is_h_graph`` accepts it, and ``max_value``
-    matches the closed form within ``VALUE_TIE_TOL`` (for a callable term,
-    the term's value on h_graph).  Two more checks follow from it: h_graph
+    ties the closed form under ``indices._is_tie`` (for a callable term,
+    the term's value on h_graph); every graph whose value ties
+    ``max_value`` is a maximizer.  Two more checks follow from it: h_graph
     has a dominating vertex, and a unique maximizer whose runner-up gap is
     at most ``UNIQUENESS_GAP`` raises ``AmbiguousMaximumError`` instead.
     """
@@ -578,9 +578,8 @@ def extremal_search(
     universe = connected_graphs(n, n - 1 + nu, workers=workers)
     values = [value_of(g) for g in universe]
     max_value = max(values)
-    tie_tol = VALUE_TIE_TOL * max(1.0, abs(max_value))
-    maximizers = tuple(g for g, v in zip(universe, values) if v >= max_value - tie_tol)
-    rest = [v for v in values if v < max_value - tie_tol]
+    maximizers = tuple(g for g, v in zip(universe, values) if _is_tie(v, max_value))
+    rest = [v for v in values if not _is_tie(v, max_value)]
     runner_up_gap = max_value - max(rest) if rest else float("inf")
     unique = len(maximizers) == 1
     if unique and runner_up_gap <= UNIQUENESS_GAP:
@@ -588,11 +587,7 @@ def extremal_search(
             f"n={n}, nu={nu}, index={label}: runner-up gap {runner_up_gap:.3e} "
             f"is below {UNIQUENESS_GAP:.0e}; refusing to claim a unique maximizer"
         )
-    confirms_h = (
-        unique
-        and is_h_graph(maximizers[0])
-        and abs(max_value - expected) <= tie_tol
-    )
+    confirms_h = unique and is_h_graph(maximizers[0]) and _is_tie(expected, max_value)
     return ExtremalReport(
         n=n,
         nu=nu,

@@ -19,6 +19,10 @@ hook for searching over arbitrary terms.  Sums are taken with
 the histogram, so isomorphic graphs get bit-identical values whatever
 their vertex labels.  ``first_zagreb`` is the exact integer sum of
 squared degrees (equal to the sum of endpoint-degree sums over edges).
+
+``_is_tie`` is the one rule by which a float comparison of index values
+counts as a tie: the extremal search uses it for maximizer ties and the
+closed-form match, and ``bounds.Bound.check`` for equality.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ import math
 from typing import Callable
 
 from .graphs import EdgeStats, Graph, edge_stats
+
+_TIE_TOL = 1e-9
+
+
+def _is_tie(a: float, b: float) -> bool:
+    """Whether a and b differ by at most ``_TIE_TOL`` relative to b (absolute
+    when |b| < 1)."""
+    return abs(a - b) <= _TIE_TOL * max(1.0, abs(b))
 
 
 def _profile(g: Graph | EdgeStats) -> EdgeStats:

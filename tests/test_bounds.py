@@ -201,6 +201,15 @@ def test_run_suite_empty_and_unknown():
         run_suite([K2], ["no-such-bound"])
 
 
+def test_run_suite_checks_each_selected_group_once():
+    """A group named twice is checked once, at its first place."""
+    graphs = [parse_graph6("D}_"), path(4)]
+    once, once_summary = suite(graphs, ["so-lower", "zagreb-sandwich"])
+    twice, twice_summary = suite(graphs, ["so-lower", "zagreb-sandwich", "so-lower"])
+    assert twice == once and twice_summary == once_summary
+    assert once_summary.reports == 2 * 5
+
+
 def test_run_suite_order_zero_needs_no_index():
     """The indices are undefined on the order-0 graph, so every bound is
     vacuous on it and no index is evaluated: one all-zero report per
@@ -277,6 +286,25 @@ def test_identity_holds_only_at_zero_slack():
         assert not r.holds and r.violation and not r.equality and r.slack == rhs - lhs
     assert check("identity", 4, 4).holds and check("identity", 4, 4).equality
     assert check("upper", 3, 4).holds
+
+
+def test_a_float_tie_is_an_equality_for_every_sense():
+    """Sides 5e-7 apart at rhs = 1000 tie (1e-9 relative): an upper or
+    lower bound holds there with equality, and a strict one fails."""
+    rec = GraphRecord(path(3))
+
+    def check(sense, lhs, rhs):
+        return bounds.Bound("t", lambda _: (lhs, rhs), sense, lambda _: False).check(rec)
+
+    r = check("strict", 1000 - 5e-7, 1000.0)
+    assert (r.holds, r.equality, r.violation) == (False, True, True)
+    assert check("strict", 1000 - 2e-6, 1000.0).holds
+    assert not check("strict", 1000 - 2e-6, 1000.0).equality
+    for sense, lhs in (("upper", 1000 + 5e-7), ("lower", 1000 - 5e-7)):
+        r = check(sense, lhs, 1000.0)
+        assert r.holds and r.equality and r.slack < 0
+    for sense, lhs in (("upper", 1000 + 2e-6), ("lower", 1000 - 2e-6)):
+        assert not check(sense, lhs, 1000.0).holds
 
 
 def test_run_suite_summary_tallies_the_reports_it_hands_on(connected_universe, full_universe):
@@ -498,14 +526,14 @@ def test_run_suite_matches_per_edge_reference():
             assert r.bound_id == bound_id
             assert math.isclose(r.lhs, lhs, rel_tol=1e-12), (bound_id, r.lhs, lhs)
             assert math.isclose(r.rhs, rhs, rel_tol=1e-12), (bound_id, r.rhs, rhs)
-            scale = bounds.EQUALITY_TOL * max(1.0, abs(rhs))
+            scale = indices._TIE_TOL * max(1.0, abs(rhs))
             slack = lhs - rhs if lower else rhs - lhs
             if bound_id.startswith("epsilon"):
                 equality = not vacuous and slack == 0
                 holds = vacuous or equality
             else:
                 equality = not vacuous and abs(slack) <= scale
-                holds = vacuous or (slack > bounds.STRICT_MARGIN if strict else slack >= -scale)
+                holds = vacuous or (slack > scale if strict else slack >= -scale)
             match = bool(equality and predicate is not None and predicate(g))
             flags = (r.holds, r.equality, r.equality_class_match, r.vacuous)
             assert flags == (holds, equality, match, bool(vacuous)), (bound_id, r.graph6)

@@ -11,15 +11,18 @@ from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from conftest import to_nx
 
 import somborkit
 from somborkit import cli, enumeration
-from somborkit.bounds import BOUNDS, BoundReport, run_suite
+from somborkit.bounds import BOUNDS, BoundReport, GraphRecord, run_suite
 from somborkit.cli import build_parser, main
 from somborkit.enumeration import canonical_form
 from somborkit.families import FAMILIES, h_graph, max_sombor_value, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
+from somborkit.indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
 
 def run(capsys, argv):
@@ -493,12 +496,25 @@ def test_verify_bounds_connected_census(pipe):
     assert violations == [("degree-sum-upper", g6) for g6 in ("DJ{", "E@Nw", "F?C^w")]
 
 
+def _reference_field(value) -> str:
+    """A CSV field as a generic writer gives it, whatever its type."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _reference_line(values) -> str:
+    return ",".join(map(_reference_field, values)) + "\n"
+
+
 # reference for the typed report row: the fields, in order, through the generic writer
 _report_columns = attrgetter(*(f.name for f in fields(BoundReport)))
 
 
 def _reference_row(r: BoundReport) -> str:
-    return cli._csv_line(_report_columns(r)) + "\n"
+    return _reference_line(_report_columns(r))
 
 
 def test_report_row_matches_the_generic_writer(connected_universe):
@@ -523,6 +539,69 @@ def test_report_row_matches_the_generic_writer(connected_universe):
             "so-red-upper", "?", lhs, float(m * (m - 1)), lhs, True, False, False, False
         )
         assert cli._report_row(r) == _reference_row(replace(r, rhs=m * (m - 1)))
+
+
+def test_compute_row_matches_the_generic_writer(full_universe):
+    """The typed ``compute`` row of every class with 1 <= n <= 7 is what
+    the generic writer gives its fields (m1 as a float)."""
+    for n, universe in full_universe.items():
+        for g in universe:
+            rec = GraphRecord(g)
+            nu = g.m - g.n + nx.number_connected_components(to_nx(g))
+            values = [rec.graph6, n, g.m, nu, sombor(g), reduced_sombor(g), sombor_shifted(g)]
+            assert cli._compute_row(rec) == _reference_line([*values, float(first_zagreb(g))])
+
+
+@pytest.mark.parametrize("index", ["so", "sored"])
+def test_verify_extremal_rows_match_the_generic_writer(index, capsys):
+    """Every ``verify-extremal`` row of the cells with n <= 8 is what the
+    generic writer gives the cell's report.  A cell of one graph, such as
+    each n = 2 and n = 3 cell, has gap inf."""
+    rc, out, err = run(capsys, ["verify-extremal", "--n", "2..8", "--index", index])
+    assert (rc, err) == (0, "")
+    cells = [(n, nu) for n in range(2, 9) for nu in range(n - 1)]
+    reports = [enumeration.extremal_search(n, nu, index) for n, nu in cells]
+    expected = [cli.EXTREMAL_HEADER + "\n"] + [
+        _reference_line(
+            [r.n, r.nu, r.universe_size, r.max_value, r.unique, r.runner_up_gap]
+            + [";".join(map(encode_graph6, r.maximizers))]
+        )
+        for r in reports
+    ]
+    assert out.splitlines(keepends=True) == expected
+    assert [r.runner_up_gap for r in reports[:3]] == [math.inf] * 3
+    assert all((r.runner_up_gap == math.inf) == (r.universe_size == 1) for r in reports)
+
+
+def test_an_ambiguous_cell_leaves_no_output(monkeypatch, tmp_path, capsys):
+    """A cell whose maximum cannot be told from a float tie stops the run
+    with its error alone: the rows of the cells before it are not written
+    and no ``--output`` file is created."""
+    search = enumeration.extremal_search
+    calls = []
+
+    def ambiguous_second_cell(n, nu, *args, **kwargs):
+        calls.append((n, nu))
+        if (n, nu) == (4, 1):
+            raise enumeration.AmbiguousMaximumError(f"n={n}, nu={nu}: planted tie")
+        return search(n, nu, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "extremal_search", ambiguous_second_cell)
+    dest = tmp_path / "out.csv"
+    argv = ["verify-extremal", "--n", "4..5", "--output", str(dest)]
+    assert run(capsys, argv) == (1, "", "error: n=4, nu=1: planted tie\n")
+    assert calls == [(4, 0), (4, 1)] and not dest.exists()
+    assert run(capsys, argv[:-2]) == (1, "", "error: n=4, nu=1: planted tie\n")
+
+
+def test_verify_bounds_checks_a_repeated_group_once(pipe):
+    """``--bounds so-lower so-lower`` writes what ``--bounds so-lower`` does."""
+    once = pipe(["construct", "h_graph", "5", "2"], ["verify-bounds", "--bounds", "so-lower"])
+    twice = pipe(
+        ["construct", "h_graph", "5", "2"], ["verify-bounds", "--bounds", "so-lower", "so-lower"]
+    )
+    assert twice == once
+    assert once[0] == 0 and once[1].splitlines()[-1] == "1,1,1,0,0,0,0"
 
 
 def test_verify_bounds_full_universe_census(pipe):
