@@ -90,11 +90,7 @@ def _read_lines(path: str) -> Iterator[str]:
     Each line read is split again with ``str.splitlines``, so the lines
     (and line numbers) are those of ``read().splitlines()``.
     """
-    if path == "-":
-        for raw in sys.stdin:
-            yield from raw.splitlines()
-        return
-    with open(path) as fh:
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
         for raw in fh:
             yield from raw.splitlines()
 

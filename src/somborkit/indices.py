@@ -6,19 +6,21 @@ the edges -- and never walks the edges itself.  Each function takes a
 graph or its profile; a caller that needs several indices builds the
 profile once and passes it to each.
 
-The three Sombor indices are one shifted hypot summed over the histogram
-of endpoint-degree pairs {i, j}:
+``edge_sum`` is the one engine: it sums a symmetric edge term over the
+histogram of endpoint-degree pairs {i, j}.  The three Sombor indices are
+``edge_sum`` with their own term:
 
     sombor          sqrt(i^2 + j^2)
     reduced_sombor  sqrt((i-1)^2 + (j-1)^2)
     sombor_shifted  sqrt((i+1)^2 + (j+1)^2)
 
-``edge_sum`` is the same engine for any symmetric degree term, and the
-hook for searching over arbitrary terms.  Sums are taken with
-``math.fsum``, which rounds the exact sum once; the result depends only on
-the histogram, so isomorphic graphs get bit-identical values whatever
-their vertex labels.  ``first_zagreb`` is the exact integer sum of
-squared degrees (equal to the sum of endpoint-degree sums over edges).
+The shifted terms stay private: every public function here takes a graph
+or its profile, which ``perfbench/spans.py`` relies on when it wraps them.
+Sums are taken with ``math.fsum``, which rounds the exact sum once; the
+result depends only on the histogram, so isomorphic graphs get
+bit-identical values whatever their vertex labels.  ``first_zagreb`` is
+the exact integer sum of squared degrees (equal to the sum of
+endpoint-degree sums over edges).
 
 ``_is_tie`` is the one rule by which a float comparison of index values
 counts as a tie: the extremal search uses it for maximizer ties and the
@@ -57,21 +59,24 @@ def edge_sum(g: Graph | EdgeStats, term: Callable[[int, int], float]) -> float:
     return math.fsum(c * term(i, j) for (i, j), c in pairs)
 
 
-def _shifted_hypot_sum(g: Graph | EdgeStats, shift: int) -> float:
-    pairs = _profile(g).endpoint_degree_counts.items()
-    return math.fsum(c * math.hypot(i + shift, j + shift) for (i, j), c in pairs)
+def _reduced_term(i: int, j: int) -> float:
+    return math.hypot(i - 1, j - 1)
+
+
+def _shifted_term(i: int, j: int) -> float:
+    return math.hypot(i + 1, j + 1)
 
 
 def sombor(g: Graph | EdgeStats) -> float:
-    return _shifted_hypot_sum(g, 0)
+    return edge_sum(g, math.hypot)
 
 
 def reduced_sombor(g: Graph | EdgeStats) -> float:
-    return _shifted_hypot_sum(g, -1)
+    return edge_sum(g, _reduced_term)
 
 
 def sombor_shifted(g: Graph | EdgeStats) -> float:
-    return _shifted_hypot_sum(g, 1)
+    return edge_sum(g, _shifted_term)
 
 
 def first_zagreb(g: Graph | EdgeStats) -> int:

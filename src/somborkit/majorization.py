@@ -12,6 +12,13 @@ Prefix sums are compared exactly (only the total-sum precondition gets a
 1e-12 tolerance).  Integer sequences are always safe; real-valued input
 should be exactly representable (e.g. dyadic rationals), otherwise
 rounding noise in tied prefixes can read as incomparability.
+
+The claim that the degree sequence of ``h_graph(n, nu)``
+(``families.h_degree_sequence``) majorizes the degree sequence of every
+connected graph with n vertices and cyclomatic number nu is refuted: K4
+plus a pendant vertex (graph6 ``DJ{``, degrees (4,3,3,3,1)) is
+incomparable with (4,4,2,2,2).  The strict-xfail acceptance criterion 8
+and the README record this.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from .families import h_degree_sequence
 
 SUM_TOL = 1e-12
 KARAMATA_TOL = 1e-9
@@ -57,7 +62,7 @@ def compare(c: Sequence[float], d: Sequence[float]) -> Relation:
     if tuple(c) == tuple(d):
         return Relation.EQUAL
     below = above = True
-    pc = pd = 0.0
+    pc = pd = 0
     for k in range(len(c) - 1):
         pc += c[k]
         pd += d[k]
@@ -104,18 +109,6 @@ def karamata_compare(
         holds=sum_first <= sum_second + KARAMATA_TOL,
         strict=strictly_convex and relation is Relation.MAJORIZED,
     )
-
-
-def majorizing_degree_sequence(n: int, nu: int) -> tuple[int, ...]:
-    """Degree sequence of h_graph(n, nu): (n-1, nu+1, 2^nu, 1^(n-nu-2)).
-
-    The claim that it majorizes the degree sequence of every connected
-    graph with n vertices and cyclomatic number nu is refuted: K4 plus a
-    pendant vertex (graph6 ``DJ{``, degrees (4,3,3,3,1)) is incomparable
-    with (4,4,2,2,2).  The strict-xfail acceptance criterion 8 and the
-    README record this.
-    """
-    return h_degree_sequence(n, nu)
 
 
 def hypotenuse_term(a: float) -> Callable[[float], float]:

@@ -404,6 +404,24 @@ def test_imports_only_the_standard_library():
     assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
+def test_bare_import_loads_no_submodule():
+    """The package root re-exports nothing: importing ``somborkit`` alone
+    loads no ``somborkit.*`` module."""
+    probe = (
+        "import sys\n"
+        "import somborkit\n"
+        "print(sorted(name for name in sys.modules if name.startswith('somborkit')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=_module_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['somborkit']\n", "")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 @pytest.mark.parametrize(
     "argv",

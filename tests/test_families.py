@@ -53,6 +53,19 @@ def test_h_graph_invariants(n):
         assert degree_sequence(g) == expected
 
 
+def test_h_degree_sequence():
+    assert h_degree_sequence(5, 2) == (4, 3, 2, 2, 1)
+    assert h_degree_sequence(4, 0) == (3, 1, 1, 1)
+    assert h_degree_sequence(6, 4) == (5, 5, 2, 2, 2, 2)
+    for n in range(2, 12):
+        for nu in range(0, n - 1):
+            seq = h_degree_sequence(n, nu)
+            assert len(seq) == n and sum(seq) == 2 * (n - 1 + nu)
+            assert all(seq[i] >= seq[i + 1] for i in range(n - 1))
+    with pytest.raises(ValueError):
+        h_degree_sequence(4, 3)
+
+
 def test_h_graph_range_errors():
     with pytest.raises(ValueError):
         h_graph(4, 3)
