@@ -28,32 +28,65 @@ universe reaches ``compute`` and ``verify-bounds`` through a pipe
 cell and builds no verdict of its own.
 When the reader of stdout goes away, the CLI joins its pool workers and
 ends on SIGPIPE, quietly, like any filter.
+
+At load time this module imports only ``graphs``, ``families`` and
+``indices``; each command imports the layer it runs when it runs, so a
+start-up pays only for what the command uses:
+
+    construct                   neither layer
+    compute, verify-bounds      ``bounds``
+    enumerate, verify-extremal  ``enumeration`` (with the process pool's
+                                ``concurrent.futures.process`` and
+                                ``multiprocessing``)
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import shutil
 import signal
 import sys
 import tempfile
 from contextlib import nullcontext
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
-from .bounds import BoundReport, GraphRecord, run_suite
-from .enumeration import (
-    INDEX_FUNCTIONS,
-    SCOPE_MAX_N,
-    AmbiguousMaximumError,
-    ExtremalReport,
-    all_graphs,
-    check_scope,
-    connected_graphs,
-    extremal_search,
-    shutdown_pools,
-)
 from .families import FAMILIES
 from .graphs import Graph6Error, encode_graph6, graph6_header, parse_graph6
+from .indices import INDEX_FUNCTIONS
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport, GraphRecord
+    from .enumeration import ExtremalReport
+
+# Names of the two heavier layers that callers look up on this module, as
+# ``perfbench/spans.py`` does with ``cli.all_graphs``.  The commands import
+# those layers when they run; ``__getattr__`` resolves each name from its
+# layer on access, so ``cli.all_graphs is enumeration.all_graphs``.
+_LAYER_OF = {
+    **dict.fromkeys(("BoundReport", "GraphRecord", "run_suite"), "bounds"),
+    **dict.fromkeys(
+        (
+            "SCOPE_MAX_N",
+            "AmbiguousMaximumError",
+            "ExtremalReport",
+            "all_graphs",
+            "check_scope",
+            "connected_graphs",
+            "extremal_search",
+            "shutdown_pools",
+        ),
+        "enumeration",
+    ),
+}
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{layer}"), name)
+
 
 # CSV fields: floats as {:.12g}, booleans as _BOOL[flag], other values as str()
 _BOOL = ("false", "true")
@@ -159,9 +192,12 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _m_values(args, n: int) -> list[int]:
-    if args.nu is not None:
-        lo, hi = _parse_range(args.nu)
+def _m_values(args, n: int, cells: bool) -> list[int]:
+    """The edge counts selected at order n: m = n-1+nu for each nu of
+    ``--nu`` (of 0..n-2 if ``cells`` and ``--nu`` is not given), else each
+    m of ``--m``, else every m."""
+    if cells or args.nu is not None:
+        lo, hi = (0, n - 2) if args.nu is None else _parse_range(args.nu)
         if lo < 0:
             raise ValueError(f"--nu must be >= 0, got {args.nu}")
         return [n - 1 + nu for nu in range(lo, min(hi, n - 2) + 1)]
@@ -171,24 +207,32 @@ def _m_values(args, n: int) -> list[int]:
     return list(range(0, n * (n - 1) // 2 + 1))
 
 
-def _levels(args) -> list[tuple[int, list[int]]]:
-    """(n, edge counts) for each requested order; every level is checked
-    before any is built, and a request that selects none is refused."""
+def _levels(args, cells: bool = False) -> list[tuple[int, list[int]]]:
+    """(n, edge counts) for each requested order, or for each order's
+    (n, nu) cells if ``cells``; every level is checked before any is built,
+    and a request that selects none is refused."""
+    from . import enumeration
+
     n_lo, n_hi = _parse_range(args.n)
-    levels = [(n, _m_values(args, n)) for n in range(n_lo, n_hi + 1)]
+    levels = [(n, _m_values(args, n, cells)) for n in range(n_lo, n_hi + 1)]
     if not any(ms for _, ms in levels):
-        if args.nu is not None:
+        if cells or args.nu is not None:
             raise ValueError("no (n, nu) cell with 0 <= nu <= n-2 in the requested range")
         raise ValueError("no (n, m) level with 0 <= m <= n(n-1)/2 in the requested range")
     for n, ms in levels:
         for m in ms:
-            check_scope(n, m)
+            enumeration.check_scope(n, m)
     return levels
 
 
 def cmd_enumerate(args) -> int:
+    from . import enumeration
+
     levels = _levels(args)
-    builder = connected_graphs if args.universe == "connected" else all_graphs
+    if args.universe == "connected":
+        builder = enumeration.connected_graphs
+    else:
+        builder = enumeration.all_graphs
     graphs = (g for n, ms in levels for m in ms for g in builder(n, m, workers=args.workers))
     _write_lines(args.output, map(encode_graph6, graphs))
     return 0
@@ -207,14 +251,16 @@ def _extremal_row(r: ExtremalReport) -> str:
 
 
 def cmd_verify_extremal(args) -> int:
-    cells = [(n, m - n + 1) for n, ms in _levels(args) for m in ms]
+    from . import enumeration
+
+    cells = [(n, m - n + 1) for n, ms in _levels(args, cells=True) for m in ms]
     failures = 0
     with _spool() as spool:
         print(EXTREMAL_HEADER, file=spool)
         for n, nu in cells:
             try:
-                report = extremal_search(n, nu, args.index, workers=args.workers)
-            except AmbiguousMaximumError as exc:
+                report = enumeration.extremal_search(n, nu, args.index, workers=args.workers)
+            except enumeration.AmbiguousMaximumError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             spool.write(_extremal_row(report))
@@ -235,6 +281,8 @@ def _input_records(path: str) -> Iterator[tuple[int, GraphRecord]]:
     read.  The record keeps the line's text, with a long size header
     shortened when n <= 62, as ``encode_graph6`` would write it.  A
     malformed line raises ``Graph6Error`` naming its line number."""
+    from . import bounds
+
     for lineno, raw in enumerate(_read_lines(path), start=1):
         text = raw.strip()
         if not text:
@@ -245,7 +293,7 @@ def _input_records(path: str) -> Iterator[tuple[int, GraphRecord]]:
             raise Graph6Error(f"line {lineno}: {exc}") from None
         if text[0] == "~" and g.n <= 62:
             text = graph6_header(g.n) + text[4:]
-        yield lineno, GraphRecord(g, text)
+        yield lineno, bounds.GraphRecord(g, text)
 
 
 BOUNDS_HEADER = "bound_id,graph6,lhs,rhs,slack,holds,equality,class_match,vacuous"
@@ -262,11 +310,13 @@ def _report_row(r: BoundReport) -> str:
 
 
 def cmd_verify_bounds(args) -> int:
+    from . import bounds
+
     selection = None if args.bounds == ["all"] else args.bounds
     graphs = (rec for _, rec in _input_records(args.input))
     with _spool() as spool:
         print(BOUNDS_HEADER, file=spool)
-        summary = run_suite(
+        summary = bounds.run_suite(
             graphs, selection, lambda reports: spool.writelines(map(_report_row, reports))
         )
         spool.write(  # a blank line, the summary header and its tallies
@@ -321,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-extremal", help="brute-force maximizer verification")
     p.add_argument("--n", required=True, help="order or range A..B")
-    # each order that can be built has n <= SCOPE_MAX_N, so this default holds all its cells
-    p.add_argument("--nu", default=f"0..{SCOPE_MAX_N - 2}", help=NU_HELP + "; default: all")
+    p.add_argument("--nu", default=None, help=NU_HELP + "; default: all, 0..n-2 per order")
     p.add_argument("--index", choices=list(INDEX_FUNCTIONS), default="so")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default="-")
@@ -360,8 +409,11 @@ def entry() -> None:  # console-script hook
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader of stdout went away: join the pool workers, which would
-        # otherwise wait for work forever, then stop quietly, like any filter
-        shutdown_pools()
+        # otherwise wait for work forever, then stop quietly, like any filter;
+        # a run that never loaded the generation layer has no pool
+        enumeration = sys.modules.get(f"{__package__}.enumeration")
+        if enumeration is not None:
+            enumeration.shutdown_pools()
         if hasattr(signal, "SIGPIPE"):
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
             signal.raise_signal(signal.SIGPIPE)

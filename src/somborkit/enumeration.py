@@ -107,7 +107,7 @@ from typing import Callable
 
 from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
 from .graphs import Graph, _reachable, is_connected, max_degree
-from .indices import _is_tie, edge_sum, reduced_sombor, sombor
+from .indices import INDEX_FUNCTIONS, _is_tie, edge_sum
 
 CANON_MAX_N = 10
 SCOPE_MAX_N = 9
@@ -510,11 +510,6 @@ def connected_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
         return [g for g in all_graphs(n, m, workers=workers) if is_connected(g)]
     return [CanonicalForm(n, key).to_graph() for key in _chain(n, m, True, workers)]
 
-
-INDEX_FUNCTIONS: dict[str, Callable[[Graph], float]] = {
-    "so": sombor,
-    "sored": reduced_sombor,
-}
 
 # the maximum of each named index over a cell, attained by h_graph(n, nu)
 CLOSED_FORMS: dict[str, Callable[[int, int], float]] = {

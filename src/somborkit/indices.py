@@ -22,6 +22,9 @@ bit-identical values whatever their vertex labels.  ``first_zagreb`` is
 the exact integer sum of squared degrees (equal to the sum of
 endpoint-degree sums over edges).
 
+``INDEX_FUNCTIONS`` names the two indices the extremal search and
+``verify-extremal --index`` take: ``so`` and ``sored``.
+
 ``_is_tie`` is the one rule by which a float comparison of index values
 counts as a tie: the extremal search uses it for maximizer ties and the
 closed-form match, and ``bounds.Bound.check`` for equality.
@@ -77,6 +80,12 @@ def reduced_sombor(g: Graph | EdgeStats) -> float:
 
 def sombor_shifted(g: Graph | EdgeStats) -> float:
     return edge_sum(g, _shifted_term)
+
+
+INDEX_FUNCTIONS: dict[str, Callable[[Graph | EdgeStats], float]] = {
+    "so": sombor,
+    "sored": reduced_sombor,
+}
 
 
 def first_zagreb(g: Graph | EdgeStats) -> int:

@@ -195,6 +195,17 @@ def test_verify_extremal_full_sweep_to_7(capsys):
     assert all(",true," in row for row in rows)
 
 
+def test_verify_extremal_defaults_to_every_cell_of_each_order(capsys):
+    """Without ``--nu``, each order n gets its cells nu = 0..n-2, which for
+    n = 4..9 is what ``--nu 0..7`` selects."""
+    rc, out, err = run(capsys, ["verify-extremal", "--n", "4..9", "--workers", "2"])
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 1 + sum(range(3, 9))
+    assert run(capsys, ["verify-extremal", "--n", "4..9", "--nu", "0..7", "--workers", "2"]) == (
+        0, out, ""
+    )
+
+
 def test_verify_extremal_fails_a_wrong_closed_form(monkeypatch, capsys):
     argv = ["verify-extremal", "--n", "4..6", "--nu", "0..2", "--index", "so"]
     rc, expected, err = run(capsys, argv)
@@ -422,10 +433,66 @@ def test_bare_import_loads_no_submodule():
     assert (done.returncode, done.stdout, done.stderr) == (0, "['somborkit']\n", "")
 
 
+# the layers and the pool modules whose loading each command decides
+WATCHED = (
+    "somborkit.bounds", "somborkit.enumeration", "concurrent.futures.process", "multiprocessing"
+)
+GENERATION = {"somborkit.enumeration", "concurrent.futures.process", "multiprocessing"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(["construct", "path", "3"], set(), id="construct"),
+        pytest.param(["compute", "--input", "{}"], {"somborkit.bounds"}, id="compute"),
+        pytest.param(["verify-bounds", "--input", "{}"], {"somborkit.bounds"}, id="verify-bounds"),
+        pytest.param(["enumerate", "--n", "5"], GENERATION, id="enumerate"),
+        pytest.param(["verify-extremal", "--n", "5"], GENERATION, id="verify-extremal"),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded, tmp_path):
+    """A CLI process imports ``bounds`` only for the commands that check
+    input lines, and the generation layer, with the process pool's
+    modules, only for the commands that generate graphs."""
+    src = tmp_path / "in.g6"
+    src.write_text("D?{\nBW\n")
+    probe = (
+        "import sys\n"
+        "from somborkit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(code, sorted(name for name in {WATCHED!r} if name in sys.modules))\n"
+    )
+    argv = [arg.format(src) for arg in argv] + ["--output", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=_module_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"0 {sorted(loaded)}\n", "")
+
+
+def test_the_layer_names_resolve_on_access():
+    """``cli`` binds no name of ``bounds`` or ``enumeration`` at import
+    time; each is looked up in its layer on access, and a name that is in
+    no layer raises ``AttributeError``."""
+    from somborkit import bounds
+
+    assert cli.all_graphs is enumeration.all_graphs and cli.run_suite is bounds.run_suite
+    layers = {"bounds": bounds, "enumeration": enumeration}
+    for name, layer in cli._LAYER_OF.items():
+        assert getattr(cli, name) is getattr(layers[layer], name)
+    assert not hasattr(cli, "no_such_name")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 @pytest.mark.parametrize(
     "argv",
     [
+        # construct and compute end in a process that never loaded the generation layer
+        pytest.param(["construct", "path", "3"], id="construct"),
+        pytest.param(["compute", "--input", "{}"], id="compute"),
         pytest.param(["enumerate", "--n", "7", "--universe", "all"], id="enumerate"),
         pytest.param(["verify-bounds", "--input", "{}"], id="verify-bounds"),
         # the first line written comes after a level built in the pool
@@ -604,7 +671,7 @@ def test_an_ambiguous_cell_leaves_no_output(monkeypatch, tmp_path, capsys):
             raise enumeration.AmbiguousMaximumError(f"n={n}, nu={nu}: planted tie")
         return search(n, nu, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "extremal_search", ambiguous_second_cell)
+    monkeypatch.setattr(enumeration, "extremal_search", ambiguous_second_cell)
     dest = tmp_path / "out.csv"
     argv = ["verify-extremal", "--n", "4..5", "--output", str(dest)]
     assert run(capsys, argv) == (1, "", "error: n=4, nu=1: planted tie\n")
