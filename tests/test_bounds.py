@@ -184,7 +184,9 @@ def test_run_suite_connected_5(connected_universe):
     assert not summary.anomalies
     # the only failing reports are the known degree-sum counterexamples
     assert all(r.bound_id == "degree-sum-upper" for r in summary.violations)
-    assert {r.graph6 for r in summary.violations} == {"DJ{"}
+    assert {r.graph6 for r in summary.violations} == {"D~_"}
+    k4_pendant = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    assert enumeration.canonical_form(parse_graph6("D~_")) == enumeration.canonical_form(k4_pendant)
 
 
 def test_run_suite_excluding_degree_sum_is_clean(connected_universe):

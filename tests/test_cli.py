@@ -20,9 +20,12 @@ from somborkit import cli, enumeration
 from somborkit.bounds import BOUNDS, BoundReport, GraphRecord, run_suite
 from somborkit.cli import build_parser, main
 from somborkit.enumeration import canonical_form
-from somborkit.families import FAMILIES, h_graph, max_sombor_value, star
+from somborkit.families import FAMILIES, h_graph, max_sombor_value, path, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
 from somborkit.indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
+
+
+K4_PENDANT = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
 
 
 def run(capsys, argv):
@@ -310,7 +313,8 @@ def test_verify_bounds_flags_known_degree_sum_failures(pipe):
     )
     assert rc == 1
     assert "violation" in err
-    assert any(line.startswith("degree-sum-upper,DJ{,") for line in out.splitlines())
+    assert any(line.startswith("degree-sum-upper,D~_,") for line in out.splitlines())
+    assert canonical_form(parse_graph6("D~_")) == canonical_form(K4_PENDANT)
 
 
 def test_verify_bounds_from_file(tmp_path, capsys):
@@ -388,7 +392,8 @@ def test_runs_as_a_module(module):
         )
 
     done = run_module("enumerate", "--n", "3", "--universe", "all")
-    assert (done.returncode, done.stdout, done.stderr) == (0, "B?\nBG\nBW\nBw\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "B?\nBG\nBo\nBw\n", "")
+    assert canonical_form(parse_graph6("Bo")) == canonical_form(path(3))
     done = run_module("enumerate", "--n", "11")
     assert done.returncode == 2 and done.stdout == "" and "capped" in done.stderr
 
@@ -578,7 +583,13 @@ def test_verify_bounds_connected_census(pipe):
     assert lines[-1] == "996,11952,10034,2090,1915,3,0"
     reports = [line.split(",") for line in lines[1 : lines.index("")]]
     violations = [(r[0], r[1]) for r in reports if r[5] == "false"]
-    assert violations == [("degree-sum-upper", g6) for g6 in ("DJ{", "E@Nw", "F?C^w")]
+    assert violations == [("degree-sum-upper", g6) for g6 in ("D~_", "E~a?", "F?C^w")]
+    assert canonical_form(parse_graph6("D~_")) == canonical_form(K4_PENDANT)
+    # a hub joined to every vertex of a triangle and of K2-bar
+    hub_triangle = graph_from_edges(
+        6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]
+    )
+    assert canonical_form(parse_graph6("E~a?")) == canonical_form(hub_triangle)
 
 
 def _reference_field(value) -> str:

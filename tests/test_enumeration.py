@@ -43,6 +43,12 @@ P4 = path(4)
 S4 = star(4)
 
 
+def _complement(g):
+    full = (1 << g.n) - 1
+    rows = tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows))
+    return Graph(g.n, rows, g.n * (g.n - 1) // 2 - g.m)
+
+
 def test_canonical_invariance_all_perms_of_p4():
     forms = {canonical_form(relabel(P4, p)) for p in permutations(range(4))}
     assert len(forms) == 1
@@ -134,7 +140,7 @@ def test_orbit_counting_identity(n):
 @pytest.mark.parametrize("m", [7, 13, 15, 21])
 def test_orbit_counting_identity_n8(m):
     """Same identity at the lightest and heaviest 8-vertex levels the
-    extremal sweep depends on, and at two levels built from complements.
+    extremal sweep depends on, and at two levels flipped from lower ones.
     The connected count at m = 7 doubles as a check of the recurrence
     oracle itself: it must equal Cayley's 8^6."""
     classes = all_graphs(8, m)
@@ -147,13 +153,14 @@ def test_orbit_counting_identity_n8(m):
 
 
 def test_generation_prunes_canonical_calls(monkeypatch):
-    """The edge-rank filter, the twin-orbit rule and the complement rule
-    keep the full n = 8 sweep far below the 172,844 canonicalizations of
-    growing every one-edge extension (13,989 when written), and an upper
-    level builds only its complement's chain."""
+    """The edge-rank filter, the twin-orbit rule and the flipped upper
+    levels keep the full n = 8 sweep far below the 172,844
+    canonicalizations of growing every one-edge extension (13,989 when
+    written, 13,963 before the flips, 8,613 with them), and an upper
+    level builds only its complement's chain and is not cached."""
     enumeration._level_cache.clear()
     all_graphs(8, 27)
-    assert set(enumeration._level_cache) == {(8, 0, False), (8, 1, False), (8, 27)}
+    assert set(enumeration._level_cache) == {(8, 0, False), (8, 1, False)}
 
     calls = 0
     canonical_key = enumeration._canonical_key
@@ -167,7 +174,7 @@ def test_generation_prunes_canonical_calls(monkeypatch):
     enumeration._level_cache.clear()
     for m in range(29):
         all_graphs(8, m)
-    assert calls < 15_000
+    assert calls < 9_000
 
 
 def test_connected_chain_matches_the_filter():
@@ -190,7 +197,8 @@ def test_sparse_cells_build_no_dense_disconnected_level(monkeypatch):
     parents: far fewer canonicalizations than filtering full levels
     (5,840 before the connected chain, 2,721 when written), and no
     disconnected level above m = n - 2 except the halves of a lower level
-    whose complements give an upper cell (2m > C(n,2), only n = 4, 5)."""
+    whose flips give an upper cell (2m > C(n,2), only n = 4, 5).  Upper
+    levels are not cached."""
     calls = 0
     canonical_key = enumeration._canonical_key
 
@@ -205,11 +213,11 @@ def test_sparse_cells_build_no_dense_disconnected_level(monkeypatch):
         for nu in range(3):
             connected_graphs(n, n - 1 + nu)
     assert calls < 3_500
-    cache = enumeration._level_cache
-    for key in cache:
-        if len(key) == 3 and not key[2] and key[1] > key[0] - 2:
-            n, m, _ = key
-            assert (n, n * (n - 1) // 2 - m) in cache, key
+    cells = {(n, n - 1 + nu) for n in range(4, 10) for nu in range(3)}
+    for key in enumeration._level_cache:
+        n, m, connected = key
+        if not connected and m > n - 2:
+            assert 2 * m < n * (n - 1) // 2 and (n, n * (n - 1) // 2 - m) in cells, key
 
 
 def _unfiltered_levels(n):
@@ -366,7 +374,8 @@ def _pack(bits):
 def test_canonical_form_matches_reference():
     """Every class with n <= 7, and seeded relabelings of a sample of the
     n = 8 and n = 9 classes, partitions discrete or not: the packed key is
-    the reference tuple's concatenation, and both sort alike."""
+    the reference tuple's concatenation at or below the middle level, and
+    above it the flip of the complement's, and both sort alike."""
     rng = random.Random(20261018)
     cases = [g for n in range(8) for m in range(n * (n - 1) // 2 + 1) for g in all_graphs(n, m)]
     for n, levels in ((8, range(29)), (9, range(13))):
@@ -379,9 +388,16 @@ def test_canonical_form_matches_reference():
     discrete = 0
     by_order = {}
     for g in cases:
-        bits = _reference_canonical_bits(g.n, g.rows)
         key = canonical_form(g).key
-        assert key == _pack(bits)
+        slots = g.n * (g.n - 1) // 2
+        if 2 * g.m <= slots:
+            bits = _reference_canonical_bits(g.n, g.rows)
+            assert key == _pack(bits)
+        else:
+            co_bits = _reference_canonical_bits(g.n, _complement(g).rows)
+            assert key == (1 << slots) - 1 ^ _pack(co_bits)
+            # the rows of g in the complement's canonical order
+            bits = tuple((1 << p) - 1 ^ b for p, b in enumerate(co_bits, start=1))
         by_order.setdefault(g.n, []).append((bits, key))
         discrete += g.n > 1 and max(enumeration._wl_partition(g.n, g.rows)) == g.n - 1
     assert discrete > 300 and len(cases) - discrete > 300, (discrete, len(cases))
@@ -492,7 +508,7 @@ A008406_ROW_9 += A008406_ROW_9[-2::-1]
 
 
 def test_class_counts_n9_match_oeis():
-    """The sparse levels, and the dense ones built from their complements."""
+    """The sparse levels, and the dense ones flipped from them."""
     levels = [*range(13), *range(24, 37)]
     assert [len(all_graphs(9, m)) for m in levels] == [A008406_ROW_9[m] for m in levels]
 
@@ -513,7 +529,7 @@ def test_enumerate_n8_golden_output(capsys):
     assert out.count("\n") == sum(A008406_ROW_8)
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "708124448e3a9d661789e4a0d627160acd843c496fb58d285e3a3aeb3a26a4ee"
+        == "a20ff81b3bf2e6120b0a6a861eef89dcba4b112b8f614854049ec2496198db66"
     )
 
 
@@ -539,25 +555,48 @@ def test_deterministic_order_and_workers():
     assert with_workers == base
 
 
-def test_upper_level_through_the_pool_matches_serial(monkeypatch):
-    """An upper level (2m > C(n,2)) is canonicalized in the worker pool
-    when its complement level is large enough, with the serial result."""
-    serial = enumeration._level(7, 15)
-    assert len(enumeration._level(7, 6)) > 4 * 2  # above the pool gate
-    pooled_with = []
-    pool = enumeration._pool
+def test_upper_levels_are_flipped_lower_levels(monkeypatch):
+    """Every upper level (2m > C(n,2)) with n <= 8 is the reversed flip of
+    level C(n,2) - m, built with no canonical form and no pool, even with
+    two workers."""
+    lower = {}
+    for n in range(9):
+        slots = n * (n - 1) // 2
+        for m in range(slots // 2 + 1, slots + 1):
+            lower[n, m] = enumeration._level(n, slots - m)
+    calls = 0
+    canonical_key = enumeration._canonical_key
 
-    def spy(workers):
-        pooled_with.append(workers)
-        return pool(workers)
+    def counted(n, rows):
+        nonlocal calls
+        calls += 1
+        return canonical_key(n, rows)
 
-    monkeypatch.setattr(enumeration, "_pool", spy)
-    del enumeration._level_cache[(7, 15)]
-    try:
-        assert enumeration._level(7, 15, workers=2) == serial
-    finally:
-        enumeration._level_cache[(7, 15)] = serial
-    assert pooled_with == [2]
+    def no_pool(workers):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(enumeration, "_canonical_key", counted)
+    monkeypatch.setattr(enumeration, "_pool", no_pool)
+    for (n, m), keys in lower.items():
+        full = (1 << n * (n - 1) // 2) - 1
+        assert enumeration._level(n, m, workers=2) == tuple(full ^ k for k in reversed(keys))
+    assert calls == 0
+
+
+def test_canonical_form_of_an_upper_graph_flips_its_complement():
+    """On every upper class with n <= 8, and on a seeded relabeling of
+    each, the key is the flip of the complement's key."""
+    rng = random.Random(20261019)
+    for n in range(9):
+        slots = n * (n - 1) // 2
+        for m in range(slots // 2 + 1, slots + 1):
+            for g in all_graphs(n, m):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, perm)):
+                    co = _complement(h)
+                    assert 2 * co.m <= slots
+                    assert canonical_form(h).key == (1 << slots) - 1 ^ canonical_form(co).key
 
 
 def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
