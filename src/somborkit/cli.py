@@ -59,26 +59,11 @@ if TYPE_CHECKING:
     from .bounds import BoundReport, GraphRecord
     from .enumeration import ExtremalReport
 
-# Names of the two heavier layers that callers look up on this module, as
-# ``perfbench/spans.py`` does with ``cli.all_graphs``.  The commands import
-# those layers when they run; ``__getattr__`` resolves each name from its
-# layer on access, so ``cli.all_graphs is enumeration.all_graphs``.
-_LAYER_OF = {
-    **dict.fromkeys(("BoundReport", "GraphRecord", "run_suite"), "bounds"),
-    **dict.fromkeys(
-        (
-            "SCOPE_MAX_N",
-            "AmbiguousMaximumError",
-            "ExtremalReport",
-            "all_graphs",
-            "check_scope",
-            "connected_graphs",
-            "extremal_search",
-            "shutdown_pools",
-        ),
-        "enumeration",
-    ),
-}
+# The one name of a heavier layer that callers look up on this module:
+# ``perfbench/spans.py``'s tracer reads ``cli.all_graphs``.  The commands
+# import their layers when they run; ``__getattr__`` resolves the name
+# from its layer on access, so ``cli.all_graphs is enumeration.all_graphs``.
+_LAYER_OF = {"all_graphs": "enumeration"}
 
 
 def __getattr__(name: str):

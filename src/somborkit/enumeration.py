@@ -43,44 +43,48 @@ Canonical form
     and the flip reverses that order: F ^ a < F ^ b iff a > b.
 
 Generation
-    At or below the middle level (2m <= C(n,2)) the classes of an order
-    are grown edge by edge as two disjoint chains, each from parents of
-    its own kind: the children of a level are its representatives plus
-    one edge, deduplicated by canonical form.  Edges are ranked by the
-    isomorphism invariant (endpoint-degree sum d(u) + d(v), triangle
-    count |N(u) & N(v)|, sum of the degrees of the endpoints'
-    neighbours), compared in that order, and a child is canonicalized
-    only if no child edge that counts outranks its new edge (ties pass):
+    At or below the middle level (2m <= C(n,2)) the classes are grown as
+    two chains, each from parents of its own kind only, and deduplicated
+    by canonical form:
 
-    - disconnected (n, m): the children of disconnected (n, m-1) that stay
-      disconnected, i.e. all but those whose parent has two components
-      that the new edge joins; every edge counts.  Deleting any edge of a
-      disconnected graph leaves it disconnected.
-    - trees, connected (n, n-1): the children of disconnected (n, n-2)
-      whose new edge joins its two components; every edge counts.  Every
-      tree edge is a bridge, and a tree minus an edge is a two-component
-      forest.
+    - all (n, m): the children of all (n, m-1), a child being a parent
+      plus one edge; every edge counts.
+    - trees, connected (n, n-1): the trees of order n-1 plus a leaf, the
+      new vertex n-1, attached at one vertex per orbit of twin swaps.
     - connected (n, m), m >= n: the children of connected (n, m-1); only
       the cycle edges (non-bridges) count.  The new edge closes a cycle,
       and a first-ranked cycle edge is no bridge, so deleting it leaves
       a connected graph.
 
-    This misses no class.  Let G have m edges and e be a first-ranked
-    edge of G among those that count in its chain.  By the arguments
-    above, G - e is in the parent chain, so it is isomorphic to some
-    representative P there, by a map f, and P + f(e) is a child of the
-    kind of G whose new edge f(e) ranks as e does: first (a map keeps
-    bridges bridges).  Any automorphism s of P maps that child to the
-    child P + s(f(e)), with the same ranks, so the test passes for every
-    non-edge of the orbit of f(e) under the automorphisms of P.  Of each
-    parent, only one non-edge per orbit of its twin swaps is grown: uv
-    is skipped when u or v has a twin w smaller than itself other than
-    the opposite endpoint.  Swapping w in maps uv to a lexicographically
-    smaller non-edge of the same orbit, so the smallest non-edge of each
-    orbit is never skipped.  Deduplication stays global, so no child
-    needs to be the only one of its class.
+    The leaf rule misses no tree.  A tree T of order n >= 2 has a leaf x,
+    and T - x is a tree of order n-1, isomorphic to some representative P
+    by a map f; attaching a leaf to P at f(y), for the neighbour y of x,
+    gives a tree isomorphic to T.  A vertex u with a twin w < u is passed
+    over: swapping u and w is an automorphism of P that maps the leaf at u
+    to the leaf at w, and a descent through smaller twins ends at a vertex
+    with none, which is tried.  No rank test applies, so a tree is reached
+    from each of its leaves, and the dedupe keeps one.
 
-    One rank test serves the three chains.  Every other child edge
+    In the two edge chains, edges are ranked by the isomorphism invariant
+    (endpoint-degree sum d(u) + d(v), triangle count |N(u) & N(v)|, sum of
+    the degrees of the endpoints' neighbours), compared in that order, and
+    a child is canonicalized only if no child edge that counts outranks
+    its new edge (ties pass).  This misses no class.  Let G have m edges
+    and e be a first-ranked edge of G among those that count in its chain.
+    G - e is in the parent level (for the connected chain by the argument
+    above), so it is isomorphic to some representative P there, by a map
+    f, and P + f(e) is a child of the kind of G whose new edge f(e) ranks
+    as e does: first (a map keeps bridges bridges).  Any automorphism s
+    of P maps that child to the child P + s(f(e)), with the same ranks,
+    so the test passes for every non-edge of the orbit of f(e) under the
+    automorphisms of P.  Of each parent, only one non-edge per orbit of
+    its twin swaps is grown: uv is skipped when u or v has a twin w
+    smaller than itself other than the opposite endpoint.  Swapping w in
+    maps uv to a lexicographically smaller non-edge of the same orbit, so
+    the smallest non-edge of each orbit is never skipped.  Deduplication
+    stays global, so no child needs to be the only one of its class.
+
+    One rank test serves the two edge chains.  Every other child edge
     keeps its parent endpoint-degree sum or gains 1, so with t the sum of
     the new edge in the child only parent edges of sum t - 1 or more can
     tie with it or beat it.  Each parent's edges are sorted by sum once
@@ -92,22 +96,23 @@ Generation
     edge is asked whether it is one at most once, by a bitset search that
     stops when it meets the other endpoint.
 
-    A level at or below the middle is the union of its two chains.
-    Above the middle (2m > C(n,2)) a level is the flips of the keys of
-    level C(n,2) - m, taken in descending order so that they ascend.
+    A level at or below the middle is the chain of all graphs.  Above the
+    middle (2m > C(n,2)) a level is the flips of the keys of level
+    C(n,2) - m, taken in descending order so that they ascend.
     Complementation maps the classes with m edges one to one onto those
     with C(n,2) - m edges, so an upper level makes no canonical call.  Its
     connected part is filtered from it: growing the dense connected
     levels edge by edge took 0.92 s against 0.36 s for canonicalizing the
     complements at n = 8 (2 cores, Python 3.11), and the flips cost less
-    still.  The chains are cached per (n, m, connected), as tuples of keys
-    in ascending canonical order, which makes every downstream artifact
-    deterministic regardless of worker count; an upper level is flipped
-    again at each call.  With more than one worker, a chain level with
-    more than four parents per worker is grown in chunks by one process
-    pool per worker count.  The pool is started at the first level that
-    needs it and reused by every later level and call in the process;
-    interpreter exit, or ``shutdown_pools``, joins its workers.
+    still.  The chains are cached per (n, m, connected), with False for
+    the chain of all graphs, as tuples of keys in ascending canonical
+    order, which makes every downstream artifact deterministic regardless
+    of worker count; an upper level is flipped again at each call.  With
+    more than one worker, a chain level with more than four parents per
+    worker is grown in chunks by one process pool per worker count.  The
+    pool is started at the first level that needs it and reused by every
+    later level and call in the process; interpreter exit, or
+    ``shutdown_pools``, joins its workers.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -121,7 +126,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
-from .graphs import Graph, _reachable, is_connected, max_degree
+from .graphs import Graph, is_connected, max_degree
 from .indices import INDEX_FUNCTIONS, _is_tie, edge_sum
 
 CANON_MAX_N = 10
@@ -299,19 +304,6 @@ def check_scope(n: int, m: int) -> None:
         raise ValueError(f"generation capped at n <= {SCOPE_MAX_N}, got n={n}")
 
 
-def _two_component_split(rows: tuple[int, ...]) -> int:
-    """The vertex set of one of the two components of a graph with
-    exactly two, else 0."""
-    n = len(rows)
-    side = _reachable(rows, n - 1)
-    rest = (1 << n) - 1 ^ side
-    if not rest:
-        return 0
-    if rest & (rest - 1) == 0:  # one vertex apart
-        return side
-    return side if _reachable(rows, (rest & -rest).bit_length() - 1) == rest else 0
-
-
 def _bridge_side(rows: tuple[int, ...], x: int, y: int) -> int:
     """The vertices that x reaches without the edge xy when xy is a
     bridge, else 0, by a bitset search from x that stops once it meets y."""
@@ -329,14 +321,30 @@ def _bridge_side(rows: tuple[int, ...], x: int, y: int) -> int:
     return seen
 
 
-def _children_of_chunk(args: tuple[int, tuple[int, ...], bool, bool]) -> set[int]:
-    """Canonical keys of the children of the parent keys that are
-    ``connected`` (or not) and whose new edge uv ranks first among the
-    child's edges that count, trying one non-edge per orbit of twin swaps
-    in each parent.  Every edge counts, except that with ``cyclic`` (the
-    parents are connected) only the child's non-bridges do.  A child of a
-    disconnected parent is connected iff the parent has two components
-    and uv joins them.
+def _trees_of_chunk(args: tuple[int, tuple[int, ...]]) -> set[int]:
+    """Canonical keys of the trees of order n that are a parent tree of
+    order n - 1 plus a leaf, the new vertex n - 1, attached at each vertex
+    with no smaller twin: one vertex per orbit of twin swaps."""
+    n, chunk = args
+    out: set[int] = set()
+    for key in chunk:
+        rows = _rows_from_key(n - 1, key)
+        twins = _twin_masks(rows)
+        for u in range(n - 1):
+            if twins[u] & ((1 << u) - 1):
+                continue  # swapping u with a smaller twin maps the leaf at u to one there
+            grown = [*rows, 1 << u]
+            grown[u] |= 1 << (n - 1)
+            out.add(_canonical_key(n, tuple(grown)))
+    return out
+
+
+def _children_of_chunk(args: tuple[int, tuple[int, ...], bool]) -> set[int]:
+    """Canonical keys of the children of the parent keys whose new edge uv
+    ranks first among the child's edges that count, trying one non-edge
+    per orbit of twin swaps in each parent.  Every edge counts, except
+    that with ``cyclic`` (the parents are connected) only the child's
+    non-bridges do.
 
     The rank of an edge is (endpoint-degree sum, triangle count, sum of
     the endpoints' neighbour degrees).  Every other child edge keeps its
@@ -347,14 +355,10 @@ def _children_of_chunk(args: tuple[int, tuple[int, ...], bool, bool]) -> set[int
     is one that stays a bridge of the child when bridges do not count,
     one that sums above t rejects uv, and the ties are ranked further.
     """
-    n, chunk, cyclic, connected = args
+    n, chunk, cyclic = args
     out: set[int] = set()
     for key in chunk:
         rows = _rows_from_key(n, key)
-        # n vertices and m edges make at least n - m components
-        split = 0 if cyclic or n - key.bit_count() > 2 else _two_component_split(rows)
-        if connected and not (cyclic or split):
-            continue  # no child of this parent is connected
         deg = [r.bit_count() for r in rows]
         nsum = [0] * n  # the sum of each vertex's neighbours' degrees
         edges = []  # (endpoint-degree sum, x, y), largest sum first
@@ -373,8 +377,6 @@ def _children_of_chunk(args: tuple[int, tuple[int, ...], bool, bool]) -> set[int
             for v in range(u + 1, n):
                 if rows[u] >> v & 1 or twins[v] & ~(1 << u) & ((1 << v) - 1):
                     continue
-                if split and (split >> u ^ split >> v) & 1 != connected:
-                    continue  # uv joins the two components iff the child is to be connected
                 t = deg[u] + deg[v] + 2
                 ends = 1 << u | 1 << v
                 tied: list[tuple[int, int]] | None = []
@@ -477,9 +479,10 @@ def _map_chunks(fn: Callable, n: int, keys: tuple[int, ...], workers: int, *flag
 
 
 def _chain(n: int, m: int, connected: bool, workers: int = 1) -> tuple[int, ...]:
-    """Sorted canonical keys of the connected (or the disconnected)
-    classes with n vertices and m edges, at or below the middle level.
-    Cached as (n, m, connected)."""
+    """Sorted canonical keys of the connected classes (or of all classes)
+    with n vertices and m edges, at or below the middle level: trees from
+    the trees of order n - 1, every other level from the level m - 1 of
+    its own chain.  Cached as (n, m, connected)."""
     if connected and (n == 0 or m < n - 1):
         return ()
     key = (n, m, connected)
@@ -487,23 +490,23 @@ def _chain(n: int, m: int, connected: bool, workers: int = 1) -> tuple[int, ...]
     if cached is not None:
         return cached
     if m == 0:
-        result: tuple[int, ...] = (0,) if connected == (n == 1) else ()
+        parts: list[set[int]] = [{0}]
+    elif connected and m == n - 1:
+        parts = _map_chunks(_trees_of_chunk, n, _chain(n - 1, n - 2, True, workers), workers)
     else:
-        cyclic = connected and m >= n  # trees grow from two-component forests
-        parents = _chain(n, m - 1, cyclic, workers)
-        parts = _map_chunks(_children_of_chunk, n, parents, workers, cyclic, connected)
-        result = tuple(sorted(set().union(*parts)))
-    _level_cache[key] = result
+        parents = _chain(n, m - 1, connected, workers)
+        parts = _map_chunks(_children_of_chunk, n, parents, workers, connected)
+    result = _level_cache[key] = tuple(sorted(set().union(*parts)))
     return result
 
 
 def _level(n: int, m: int, workers: int = 1) -> tuple[int, ...]:
     """Sorted canonical keys of all isomorphism classes with n vertices,
-    m edges: the union of the two chains at or below the middle level,
-    the flips of the keys of level C(n,2) - m above it."""
+    m edges: the chain of all graphs at or below the middle level, the
+    flips of the keys of level C(n,2) - m above it."""
     slots = n * (n - 1) // 2
     if 2 * m <= slots:
-        return tuple(sorted(_chain(n, m, True, workers) + _chain(n, m, False, workers)))
+        return _chain(n, m, False, workers)
     full = (1 << slots) - 1
     return tuple(full ^ k for k in reversed(_level(n, slots - m, workers)))
 

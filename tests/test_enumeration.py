@@ -156,8 +156,10 @@ def test_generation_prunes_canonical_calls(monkeypatch):
     """The edge-rank filter, the twin-orbit rule and the flipped upper
     levels keep the full n = 8 sweep far below the 172,844
     canonicalizations of growing every one-edge extension (13,989 when
-    written, 13,963 before the flips, 8,613 with them), and an upper
-    level builds only its complement's chain and is not cached."""
+    written, 13,963 before the flips, 8,613 with them, 8,639 with the
+    trees grown from smaller trees), and an upper level builds only the
+    chain of all graphs, keyed (n, m, False), of its complement and is not
+    cached."""
     enumeration._level_cache.clear()
     all_graphs(8, 27)
     assert set(enumeration._level_cache) == {(8, 0, False), (8, 1, False)}
@@ -178,9 +180,9 @@ def test_generation_prunes_canonical_calls(monkeypatch):
 
 
 def test_connected_chain_matches_the_filter():
-    """Grown from connected parents (and trees from two-component
-    forests), each connected level below the middle is the connected part
-    of the full level, in the same order."""
+    """Grown from connected parents (and trees from smaller trees), each
+    connected level below the middle is the connected part of the full
+    level, in the same order."""
     for n, ms in [*((n, range(n * (n - 1) // 2 + 1)) for n in range(9)), (9, range(12))]:
         enumeration._level_cache.clear()
         for m in ms:
@@ -192,13 +194,40 @@ def test_connected_chain_matches_the_filter():
     assert connected_graphs(2, 1) == [complete(2)]
 
 
-def test_sparse_cells_build_no_dense_disconnected_level(monkeypatch):
+def test_tree_counts_match_a000055(monkeypatch):
+    """Grown leaf by leaf, past the generation cap of the public
+    functions, the trees of orders 1..12 number A000055's terms, and each
+    key has n - 1 edges and is connected.  Growing all of them takes 3,502
+    canonicalizations (10,604 for order 12 alone from two-component
+    forests)."""
+    calls = 0
+    canonical_key = enumeration._canonical_key
+
+    def counted(n, rows):
+        nonlocal calls
+        calls += 1
+        return canonical_key(n, rows)
+
+    monkeypatch.setattr(enumeration, "_canonical_key", counted)
+    enumeration._level_cache.clear()
+    a000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    for n, count in enumerate(a000055, start=1):
+        keys = enumeration._chain(n, n - 1, True)
+        assert len(keys) == count, n
+        for key in keys:
+            g = CanonicalForm(n, key).to_graph()
+            assert g.m == n - 1 and is_connected(g), (n, key)
+    assert calls < 4_000
+
+
+def test_sparse_cells_read_the_all_chain_only_for_upper_cells(monkeypatch):
     """The sparse extremal cells (nu <= 2) grow from trees and connected
     parents: far fewer canonicalizations than filtering full levels
-    (5,840 before the connected chain, 2,721 when written), and no
-    disconnected level above m = n - 2 except the halves of a lower level
-    whose flips give an upper cell (2m > C(n,2), only n = 4, 5).  Upper
-    levels are not cached."""
+    (5,840 before the connected chain, 2,721 when written, 2,712 while
+    trees grew from two-component forests, 2,183 from smaller trees).  The
+    chain of all graphs, keyed (n, m, False), is built only for the
+    levels whose flips give an upper cell (2m > C(n,2), only n = 4, 5),
+    and upper levels are not cached."""
     calls = 0
     canonical_key = enumeration._canonical_key
 
@@ -212,12 +241,13 @@ def test_sparse_cells_build_no_dense_disconnected_level(monkeypatch):
     for n in range(4, 10):
         for nu in range(3):
             connected_graphs(n, n - 1 + nu)
-    assert calls < 3_500
-    cells = {(n, n - 1 + nu) for n in range(4, 10) for nu in range(3)}
-    for key in enumeration._level_cache:
-        n, m, connected = key
-        if not connected and m > n - 2:
-            assert 2 * m < n * (n - 1) // 2 and (n, n * (n - 1) // 2 - m) in cells, key
+    assert calls < 2_400
+    cells = [(n, n - 1 + nu) for n in range(4, 10) for nu in range(3)]
+    flipped = {(n, n * (n - 1) // 2 - m) for n, m in cells if 2 * m > n * (n - 1) // 2}
+    assert {n for n, _ in flipped} == {4, 5}
+    for n, m, connected in enumeration._level_cache:
+        if not connected:
+            assert any(order == n and m <= lower for order, lower in flipped), (n, m)
 
 
 def _unfiltered_levels(n):
@@ -247,27 +277,27 @@ def test_generation_loses_no_class(n):
         assert enumeration._level(n, m) == tuple(sorted(level)), (n, m)
 
 
-def _reference_children(n, rows, cyclic, connected):
-    """Adjacency rows of the children that generation keeps of one parent,
-    from the rule itself: one non-edge uv per orbit of twin swaps (no
-    twin of u below u, none of v below v but u), a child that is
-    ``connected`` (or not), and uv ranked first by (degree sum, triangle
-    count, sum of the endpoints' neighbour degrees) among all child edges,
-    or among the child's non-bridges when ``cyclic``."""
+def _twins(rows, a, b):
+    return rows[a] & ~(1 << b) == rows[b] & ~(1 << a)
 
-    def twins(a, b):
-        return rows[a] & ~(1 << b) == rows[b] & ~(1 << a)
 
+def _reference_children(n, rows, cyclic):
+    """Adjacency rows of the children that an edge chain keeps of one
+    parent, from the rule itself: one non-edge uv per orbit of twin swaps
+    (no twin of u below u, none of v below v but u), and uv ranked first by
+    (degree sum, triangle count, sum of the endpoints' neighbour degrees)
+    among all child edges, or among the child's non-bridges when
+    ``cyclic``."""
     edges = [(x, y) for x, y in combinations(range(n), 2) if rows[x] >> y & 1]
     kept = []
     for u, v in combinations(range(n), 2):
         if rows[u] >> v & 1:
             continue
-        if any(twins(u, w) for w in range(u)) or any(twins(v, w) for w in range(v) if w != u):
+        if any(_twins(rows, u, w) for w in range(u)) or any(
+            _twins(rows, v, w) for w in range(v) if w != u
+        ):
             continue
         child = graph_from_edges(n, [*edges, (u, v)])
-        if is_connected(child) != connected:
-            continue
         deg = child.degrees()
         nbrs = [[w for w in range(n) if child.rows[x] >> w & 1] for x in range(n)]
 
@@ -287,10 +317,24 @@ def _reference_children(n, rows, cyclic, connected):
     return sorted(kept)
 
 
+def _reference_trees(n, rows):
+    """Adjacency rows of the trees of order n grown from one tree of order
+    n - 1: a leaf, vertex n - 1, at each vertex that has no smaller twin."""
+    edges = [(x, y) for x, y in combinations(range(n - 1), 2) if rows[x] >> y & 1]
+    grown = [
+        graph_from_edges(n, [*edges, (u, n - 1)]).rows
+        for u in range(n - 1)
+        if not any(_twins(rows, u, w) for w in range(u))
+    ]
+    return sorted(grown)
+
+
 def test_child_filter_matches_its_definition(monkeypatch):
-    """For every parent of every chain level with n <= 7, and of the n = 8
-    levels with m <= 9, the children handed to the canonical form are
-    those of the reference rule."""
+    """For every parent of every level of the two edge chains with n <= 7,
+    and of the n = 8 levels with m <= 9, the children handed to the
+    canonical form are those of the reference rule: the chain of all
+    graphs grows all (n, m - 1), the connected chain (m >= n) connected
+    (n, m - 1).  So are the trees grown from every tree of order <= 8."""
     handed = []
     canonical_key = enumeration._canonical_key
 
@@ -301,16 +345,20 @@ def test_child_filter_matches_its_definition(monkeypatch):
     monkeypatch.setattr(enumeration, "_canonical_key", recorded)
     levels = [(n, m) for n in range(8) for m in range(1, n * (n - 1) // 4 + 1)]
     for n, m in levels + [(8, m) for m in range(1, 10)]:
-        for connected in (False, True):
-            if connected and m < n - 1:
+        for cyclic in (False, True):
+            if cyclic and m < n:
                 continue
-            cyclic = connected and m >= n
             for key in enumeration._chain(n, m - 1, cyclic):
                 rows = CanonicalForm(n, key).to_graph().rows
                 handed.clear()
-                enumeration._children_of_chunk((n, (key,), cyclic, connected))
-                expected = _reference_children(n, rows, cyclic, connected)
-                assert sorted(handed) == expected, (n, m, connected, key)
+                enumeration._children_of_chunk((n, (key,), cyclic))
+                assert sorted(handed) == _reference_children(n, rows, cyclic), (n, m, cyclic, key)
+    for n in range(2, 10):
+        for key in enumeration._chain(n - 1, n - 2, True):
+            rows = CanonicalForm(n - 1, key).to_graph().rows
+            handed.clear()
+            enumeration._trees_of_chunk((n, (key,)))
+            assert sorted(handed) == _reference_trees(n, rows), (n, key)
 
 
 def _reference_canonical_bits(n, rows):
@@ -600,8 +648,9 @@ def test_canonical_form_of_an_upper_graph_flips_its_complement():
 
 
 def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
-    """Trees, unicyclic and bicyclic levels of n = 8 are grown in the
-    worker pool, with the serial result."""
+    """Trees (from smaller trees: the 11 of order 7, above the pool
+    threshold of 8 parents for two workers), unicyclic and bicyclic levels
+    of n = 8 are grown in the worker pool, with the serial result."""
     serial = connected_graphs(8, 9)
     pooled_with = []
     pool = enumeration._pool
