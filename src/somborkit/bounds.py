@@ -41,9 +41,8 @@ connected universes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Literal, NamedTuple
 
 from .families import (
     all_edges_join_equal_degrees,
@@ -99,8 +98,7 @@ def _record(g: Graph | GraphRecord) -> GraphRecord:
     return g if isinstance(g, GraphRecord) else GraphRecord(g)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound_id: str
     graph6: str
     lhs: float
@@ -127,8 +125,7 @@ class BoundReport:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Bound:
+class Bound(NamedTuple):
     """One checked statement: ``lhs <= rhs`` (``upper``), ``lhs >= rhs``
     (``lower``), ``lhs < rhs`` (``strict``) or the exact integer equation
     ``lhs == rhs`` (``identity``).  Float sides that tie under
@@ -374,8 +371,7 @@ CHARACTERIZED_BOUNDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteSummary:
+class SuiteSummary(NamedTuple):
     graphs: int
     reports: int
     holds: int

@@ -122,8 +122,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
 from .graphs import Graph, is_connected, max_degree
@@ -267,14 +266,13 @@ def _rows_from_key(n: int, key: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Permutation-invariant adjacency encoding; equal iff isomorphic.
 
     ``key`` is the graph6 body of the graph in one vertex order: the
     minimal encoding at or below the middle level (2m <= C(n,2)), the
-    flip of the complement's key above it.  Forms of one order sort as
-    their keys do.
+    flip of the complement's key above it.  Forms sort as ``(n, key)``,
+    and as a named tuple a form also equals the plain tuple ``(n, key)``.
     """
 
     n: int
@@ -533,8 +531,7 @@ CLOSED_FORMS: dict[str, Callable[[int, int], float]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Outcome of a brute-force maximum search over one (n, nu) universe.
 
     ``max_degree_all_maximizers`` is the smallest maximum degree among the

@@ -35,21 +35,20 @@ Degree profile
 from __future__ import annotations
 
 from binascii import b2a_base64
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class Graph6Error(ValueError):
     """Raised on malformed graph6 text."""
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple graph: ``rows[u]`` is the neighbour bit set of u.
 
     Invariants (guaranteed by the constructors in this module):
     adjacency is symmetric, the diagonal is zero, and ``m`` equals half
-    the total population count of the rows.
+    the total population count of the rows.  As a named tuple it also
+    equals the plain tuple ``(n, rows, m)``.
     """
 
     n: int
@@ -153,8 +152,7 @@ def cyclomatic_number(g: Graph) -> int:
     return g.m - g.n + component_count(g)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeStats:
+class EdgeStats(NamedTuple):
     """Degree profile: everything the indices, bounds and family tests read.
 
     ``endpoint_degree_counts[(i, j)]`` with i <= j counts edges whose

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 SUM_TOL = 1e-12
 KARAMATA_TOL = 1e-9
@@ -77,8 +76,7 @@ def compare(c: Sequence[float], d: Sequence[float]) -> Relation:
     return Relation.INCOMPARABLE
 
 
-@dataclass(frozen=True, slots=True)
-class KaramataReport:
+class KaramataReport(NamedTuple):
     relation: Relation
     sum_first: float
     sum_second: float

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +35,13 @@ from somborkit.families import (
     star,
     star_plus_isolated,
 )
-from somborkit.graphs import component_count, encode_graph6, graph_from_edges, parse_graph6
+from somborkit.graphs import (
+    EdgeStats,
+    component_count,
+    encode_graph6,
+    graph_from_edges,
+    parse_graph6,
+)
 
 K2 = graph_from_edges(2, [(0, 1)])
 
@@ -100,6 +107,52 @@ def test_degree_sum_known_counterexamples():
 
     hub_triangle = parse_graph6("E@Nw")
     assert not check_degree_sum_bound(hub_triangle).holds
+
+
+def _is_graphical(seq: tuple[int, ...]) -> bool:
+    """Erdos-Gallai test of a non-increasing sequence with an even sum."""
+    return all(
+        sum(seq[:k]) <= k * (k - 1) + sum(min(d, k) for d in seq[k:])
+        for k in range(1, len(seq) + 1)
+    )
+
+
+def _non_increasing(length: int, top: int, budget: int):
+    """Non-increasing tuples of ``length`` values in 1..top summing to at
+    most ``budget``."""
+    if length == 0:
+        yield ()
+        return
+    for d in range(min(top, budget - length + 1), 0, -1):
+        for rest in _non_increasing(length - 1, d, budget - d):
+            yield (d, *rest)
+
+
+def test_degree_sum_lemma_fails_on_one_sequence_per_order():
+    """The degree-sum bound reads only the degree sequence, so every
+    graphical sequence with a dominating vertex and 0 <= nu <= n-2 is
+    judged by the shipped row, on a record that carries the sequence
+    alone.  For 4 <= n <= 12 (1,132 sequences) the only violation is
+    (n-1, 3, 3, 3, 1^(n-4)) at nu = 3, the hub plus a triangle, from
+    n = 5 on; its excess falls from 0.0498 (``DJ{``) to 0.0049."""
+    row = bounds.BOUNDS["degree-sum-upper"][0]
+    judged = 0
+    violations = []
+    for n in range(4, 13):
+        # nu = m - n + 1 <= n - 2 caps the degree sum at 2(2n - 3)
+        for rest in _non_increasing(n - 1, n - 1, 2 * (2 * n - 3) - (n - 1)):
+            seq = (n - 1, *rest)
+            if sum(seq) % 2 or not _is_graphical(seq):
+                continue
+            stats = EdgeStats({}, seq, 1)  # a dominating vertex connects the graph
+            # the row reads only n and m of the graph, which EdgeStats also gives
+            r = row.check(SimpleNamespace(graph=stats, stats=stats, graph6=""))
+            assert not r.vacuous
+            judged += 1
+            if r.violation:
+                violations.append((seq, stats.m - n + 1))
+    assert judged == 1132
+    assert violations == [((n - 1, 3, 3, 3) + (1,) * (n - 4), 3) for n in range(5, 13)]
 
 
 def test_epsilon_identities():

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -399,16 +398,19 @@ def test_runs_as_a_module(module):
 
 
 def test_imports_only_the_standard_library():
-    """The package is pure stdlib: importing it, its CLI and its
-    majorization module, without site-packages, loads no other top-level
-    module.  Dunder names such as ``__mp_main__`` come from the runtime."""
+    """The package is pure stdlib: importing all eight of its modules,
+    without site-packages, loads no other top-level module.  Its records
+    are named tuples, so ``dataclasses`` is not loaded either.  Dunder
+    names such as ``__mp_main__`` come from the runtime."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import somborkit, somborkit.cli, somborkit.majorization\n"
+        "import somborkit, somborkit.bounds, somborkit.cli, somborkit.enumeration\n"
+        "import somborkit.families, somborkit.graphs, somborkit.indices, somborkit.majorization\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(name for name in new if name != 'somborkit'"
-        " and not name.startswith('__') and name not in sys.stdlib_module_names)))\n"
+        " and not name.startswith('__')"
+        " and (name not in sys.stdlib_module_names or name == 'dataclasses'))))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -438,9 +440,11 @@ def test_bare_import_loads_no_submodule():
     assert (done.returncode, done.stdout, done.stderr) == (0, "['somborkit']\n", "")
 
 
-# the layers and the pool modules whose loading each command decides
+# the layers and the pool modules whose loading each command decides, and
+# the class-generation modules that no command loads
 WATCHED = (
-    "somborkit.bounds", "somborkit.enumeration", "concurrent.futures.process", "multiprocessing"
+    "somborkit.bounds", "somborkit.enumeration", "concurrent.futures.process", "multiprocessing",
+    "dataclasses", "inspect",
 )
 GENERATION = {"somborkit.enumeration", "concurrent.futures.process", "multiprocessing"}
 
@@ -458,7 +462,8 @@ GENERATION = {"somborkit.enumeration", "concurrent.futures.process", "multiproce
 def test_each_command_loads_only_the_layers_it_runs(argv, loaded, tmp_path):
     """A CLI process imports ``bounds`` only for the commands that check
     input lines, and the generation layer, with the process pool's
-    modules, only for the commands that generate graphs."""
+    modules, only for the commands that generate graphs.  No command
+    loads ``dataclasses`` or ``inspect``."""
     src = tmp_path / "in.g6"
     src.write_text("D?{\nBW\n")
     probe = (
@@ -602,7 +607,7 @@ def _reference_line(values) -> str:
 
 
 # reference for the typed report row: the fields, in order, through the generic writer
-_report_columns = attrgetter(*(f.name for f in fields(BoundReport)))
+_report_columns = attrgetter(*BoundReport._fields)
 
 
 def _reference_row(r: BoundReport) -> str:
@@ -623,14 +628,14 @@ def test_report_row_matches_the_generic_writer(connected_universe):
         assert cli._report_row(r) == _reference_row(r)
         if r.bound_id in ("so-red-upper", "tree-so-red-upper"):
             integral += 1
-            assert cli._report_row(r) == _reference_row(replace(r, rhs=int(r.rhs)))
+            assert cli._report_row(r) == _reference_row(r._replace(rhs=int(r.rhs)))
     assert integral == 2 * len(universe) + 2
     for m in (10**6, 10**6 - 1):  # m(m-1) = 999,999,000,000 < 1e12
         lhs = 0.5 * m * (m - 1)
         r = BoundReport(
             "so-red-upper", "?", lhs, float(m * (m - 1)), lhs, True, False, False, False
         )
-        assert cli._report_row(r) == _reference_row(replace(r, rhs=m * (m - 1)))
+        assert cli._report_row(r) == _reference_row(r._replace(rhs=m * (m - 1)))
 
 
 def test_compute_row_matches_the_generic_writer(full_universe):
