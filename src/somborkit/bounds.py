@@ -208,10 +208,6 @@ def _edgeless(r: GraphRecord) -> bool:
     return r.graph.m == 0
 
 
-def _nu(r: GraphRecord) -> int:
-    return r.graph.m - r.graph.n + r.stats.components
-
-
 @_group("so-shifted-upper", Bound(
     "so-shifted-upper",
     lambda r: (r.so_shifted, r.graph.m * math.sqrt((r.graph.m + 1) ** 2 + 4)),
@@ -253,7 +249,7 @@ def check_tree_corollary(g: Graph | GraphRecord) -> BoundReport:
 def _degree_sum_sides(r: GraphRecord) -> tuple[float, float]:
     n = r.graph.n
     deg = r.stats.degrees
-    nu = _nu(r)
+    nu = r.stats.nu
     hub = deg.index(max(deg))
     a = n - 1
     lhs = math.fsum(math.hypot(a, d) for v, d in enumerate(deg) if v != hub)
@@ -267,7 +263,7 @@ def _degree_sum_sides(r: GraphRecord) -> tuple[float, float]:
 
 def _outside_degree_sum_hypothesis(r: GraphRecord) -> bool:
     n = r.graph.n
-    return max(r.stats.degrees) != n - 1 or not 0 <= _nu(r) <= n - 2
+    return max(r.stats.degrees) != n - 1 or not 0 <= r.stats.nu <= n - 2
 
 
 @_group("degree-sum-upper", Bound(
@@ -277,7 +273,25 @@ def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
     """For graphs with a dominating vertex and cyclomatic number nu <= n-2:
     the sum of sqrt((n-1)^2 + d(v)^2) over the other vertices is at most
     (n-nu-2)sqrt((n-1)^2+1) + nu*sqrt((n-1)^2+4) + sqrt((n-1)^2+(nu+1)^2),
-    with equality iff the graph is h_graph(n, nu)."""
+    with equality iff the graph is h_graph(n, nu).
+
+    The statement fails at every order n >= 5.  The degrees
+    (n-1, 3, 3, 3, 1^(n-4)), a hub plus a triangle, have nu = 3 and exceed
+    the bound by E(a), with a = n-1:
+
+        E(a) = 3 sqrt(a^2+9) + sqrt(a^2+1) - 3 sqrt(a^2+4) - sqrt(a^2+16).
+
+    For x >= 0, 1 + x/2 - x^2/8 <= sqrt(1+x) <= 1 + x/2 - x^2/8 + x^3/16,
+    since the third derivative of sqrt(1+x) is positive and the fourth
+    negative.  Write sqrt(a^2+k) = a sqrt(1 + k/a^2) and bound the two
+    positive terms from below and the two negative ones from above.  The
+    a terms cancel, and so do the 1/a terms, because 3*9 + 1 = 3*4 + 16;
+    what remains is
+
+        E(a) >= 15/(2a^3) - 268/a^5 = (15a^2 - 536)/(2a^5),
+
+    which is positive for a >= 6.  E(4) = 0.0498 (``DJ{``) and
+    E(5) = 0.0333 are positive too."""
     return BOUNDS["degree-sum-upper"][0].check(_record(g))
 
 

@@ -131,9 +131,8 @@ COMPUTE_HEADER = "graph6,n,m,nu,so,so_red,so_shifted,m1"
 def _compute_row(rec: GraphRecord) -> str:
     """A graph's CSV row, newline included (m1, an int, is written as a float)."""
     g = rec.graph
-    nu = g.m - g.n + rec.stats.components
     return (
-        f"{rec.graph6},{g.n},{g.m},{nu},{rec.so:.12g},{rec.so_red:.12g},"
+        f"{rec.graph6},{g.n},{g.m},{rec.stats.nu},{rec.so:.12g},{rec.so_red:.12g},"
         f"{rec.so_shifted:.12g},{float(rec.m1):.12g}\n"
     )
 

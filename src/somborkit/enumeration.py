@@ -125,7 +125,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, NamedTuple
 
 from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
-from .graphs import Graph, is_connected, max_degree
+from .graphs import Graph, is_connected
 from .indices import INDEX_FUNCTIONS, _is_tie, edge_sum
 
 CANON_MAX_N = 10
@@ -534,15 +534,13 @@ CLOSED_FORMS: dict[str, Callable[[int, int], float]] = {
 class ExtremalReport(NamedTuple):
     """Outcome of a brute-force maximum search over one (n, nu) universe.
 
-    ``max_degree_all_maximizers`` is the smallest maximum degree among the
-    maximizers; it equals n-1 exactly when every maximizer has a
-    dominating vertex.  ``confirms_h`` is the verdict on the cell: the
-    maximizer is unique, ``is_h_graph`` accepts it, and ``max_value``
-    ties the closed form under ``indices._is_tie`` (for a callable term,
-    the term's value on h_graph); every graph whose value ties
-    ``max_value`` is a maximizer.  Two more checks follow from it: h_graph
-    has a dominating vertex, and a unique maximizer whose runner-up gap is
-    at most ``UNIQUENESS_GAP`` raises ``AmbiguousMaximumError`` instead.
+    ``confirms_h`` is the verdict on the cell: the maximizer is unique,
+    ``is_h_graph`` accepts it, and ``max_value`` ties the closed form
+    under ``indices._is_tie`` (for a callable term, the term's value on
+    h_graph); every graph whose value ties ``max_value`` is a maximizer.
+    Two more checks follow from it: h_graph has a dominating vertex, and
+    a unique maximizer whose runner-up gap is at most ``UNIQUENESS_GAP``
+    raises ``AmbiguousMaximumError`` instead.
     """
 
     n: int
@@ -553,7 +551,6 @@ class ExtremalReport(NamedTuple):
     maximizers: tuple[Graph, ...]
     runner_up_gap: float
     unique: bool
-    max_degree_all_maximizers: int
     confirms_h: bool
 
 
@@ -604,6 +601,5 @@ def extremal_search(
         maximizers=maximizers,
         runner_up_gap=runner_up_gap,
         unique=unique,
-        max_degree_all_maximizers=min(max_degree(g) for g in maximizers),
         confirms_h=confirms_h,
     )

@@ -165,11 +165,6 @@ def is_h_graph(g: Graph | EdgeStats) -> bool:
     return tuple(sorted(s.degrees, reverse=True)) == h_degree_sequence(s.n, nu)
 
 
-def is_regular(g: Graph | EdgeStats) -> bool:
-    s = _profile(g)
-    return len(set(s.degrees)) == 1
-
-
 def all_edges_join_equal_degrees(g: Graph | EdgeStats) -> bool:
     """True iff every edge joins two vertices of the same degree
     (equivalently: every component is regular)."""

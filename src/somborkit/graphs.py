@@ -55,14 +55,8 @@ class Graph(NamedTuple):
     rows: tuple[int, ...]
     m: int
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v, in ascending order."""
@@ -102,17 +96,6 @@ def graph_from_edges(n: int, edges) -> Graph:
     return _from_rows(n, tuple(rows))
 
 
-def degree_sequence(g: Graph) -> tuple[int, ...]:
-    """Vertex degrees sorted non-increasingly; sums to 2m."""
-    return tuple(sorted(g.degrees(), reverse=True))
-
-
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("max_degree undefined on the empty graph")
-    return max(g.degrees())
-
-
 def _reachable(rows: tuple[int, ...], start: int) -> int:
     """Bit set of vertices reachable from start (bitset BFS)."""
     seen = 1 << start
@@ -147,11 +130,6 @@ def is_connected(g: Graph) -> bool:
     return _reachable(g.rows, 0) == (1 << g.n) - 1
 
 
-def cyclomatic_number(g: Graph) -> int:
-    """Number of independent cycles: m - n + (number of components)."""
-    return g.m - g.n + component_count(g)
-
-
 class EdgeStats(NamedTuple):
     """Degree profile: everything the indices, bounds and family tests read.
 
@@ -172,6 +150,12 @@ class EdgeStats(NamedTuple):
     @property
     def m(self) -> int:
         return sum(self.degrees) // 2
+
+    @property
+    def nu(self) -> int:
+        """Cyclomatic number, the count of independent cycles:
+        m - n + components."""
+        return self.m - self.n + self.components
 
     @property
     def edge_degree_counts(self) -> dict[int, int]:
@@ -217,19 +201,6 @@ def edge_stats(g: Graph) -> EdgeStats:
             if ends:
                 by_pair[(i, classes[b])] = ends if a < b else ends // 2
     return EdgeStats(by_pair, deg, component_count(g))
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove vertex v; labels above v shift down by one."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    low = (1 << v) - 1
-    rows = tuple(
-        (g.rows[u] & low) | ((g.rows[u] >> (v + 1)) << v)
-        for u in range(g.n)
-        if u != v
-    )
-    return Graph(g.n - 1, rows, g.m - g.degree(v))
 
 
 # ---------------------------------------------------------------------------

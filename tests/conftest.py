@@ -4,7 +4,9 @@ The oracles here deliberately avoid the package's canonical-form and
 generation code paths: automorphism counts come from a plain
 degree-constrained backtrack over vertex bijections, labeled graph
 counts from binomials and the component-of-vertex-1 recurrence, and
-isomorphism ground truth from networkx.
+isomorphism ground truth from networkx.  The graph helpers that only
+tests need (degree sequence, maximum degree, cyclomatic number, vertex
+deletion, regularity) live here too, not in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +19,42 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from somborkit.graphs import Graph, graph_from_edges
+from somborkit.families import _profile
+from somborkit.graphs import EdgeStats, Graph, edge_stats, graph_from_edges
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    """Vertex degrees sorted non-increasingly; sums to 2m."""
+    return tuple(sorted(g.degrees(), reverse=True))
+
+
+def max_degree(g: Graph) -> int:
+    if g.n == 0:
+        raise ValueError("max_degree undefined on the empty graph")
+    return max(g.degrees())
+
+
+def cyclomatic_number(g: Graph) -> int:
+    """Number of independent cycles: m - n + (number of components)."""
+    return edge_stats(g).nu
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """Remove vertex v; labels above v shift down by one."""
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    low = (1 << v) - 1
+    rows = tuple(
+        (g.rows[u] & low) | ((g.rows[u] >> (v + 1)) << v)
+        for u in range(g.n)
+        if u != v
+    )
+    return Graph(g.n - 1, rows, g.m - g.rows[v].bit_count())
+
+
+def is_regular(g: Graph | EdgeStats) -> bool:
+    s = _profile(g)
+    return len(set(s.degrees)) == 1
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:

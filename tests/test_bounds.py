@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import tracemalloc
@@ -153,6 +154,18 @@ def test_degree_sum_lemma_fails_on_one_sequence_per_order():
                 violations.append((seq, stats.m - n + 1))
     assert judged == 1132
     assert violations == [((n - 1, 3, 3, 3) + (1,) * (n - 4), 3) for n in range(5, 13)]
+
+
+def test_degree_sum_excess_meets_its_proved_lower_bound():
+    """``check_degree_sum_bound``'s docstring proves that the hub plus a
+    triangle exceeds the bound at every order n = a + 1 >= 5, by
+    E(a) >= 15/(2a^3) - 268/a^5.  At 50 digits, E(a) is positive and meets
+    that lower bound for a = 4..2000."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        for a in map(decimal.Decimal, range(4, 2001)):
+            root = lambda k: (a * a + k).sqrt()  # noqa: E731
+            excess = 3 * root(9) + root(1) - 3 * root(4) - root(16)
+            assert excess > 0 and excess >= 15 / (2 * a**3) - 268 / a**5, a
 
 
 def test_epsilon_identities():

@@ -398,7 +398,7 @@ def test_runs_as_a_module(module):
 
 
 def test_imports_only_the_standard_library():
-    """The package is pure stdlib: importing all eight of its modules,
+    """The package is pure stdlib: importing every one of its modules,
     without site-packages, loads no other top-level module.  Its records
     are named tuples, so ``dataclasses`` is not loaded either.  Dunder
     names such as ``__mp_main__`` come from the runtime."""
@@ -406,7 +406,7 @@ def test_imports_only_the_standard_library():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import somborkit, somborkit.bounds, somborkit.cli, somborkit.enumeration\n"
-        "import somborkit.families, somborkit.graphs, somborkit.indices, somborkit.majorization\n"
+        "import somborkit.families, somborkit.graphs, somborkit.indices\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(name for name in new if name != 'somborkit'"
         " and not name.startswith('__')"
@@ -449,38 +449,67 @@ WATCHED = (
 GENERATION = {"somborkit.enumeration", "concurrent.futures.process", "multiprocessing"}
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        pytest.param(["construct", "path", "3"], set(), id="construct"),
-        pytest.param(["compute", "--input", "{}"], {"somborkit.bounds"}, id="compute"),
-        pytest.param(["verify-bounds", "--input", "{}"], {"somborkit.bounds"}, id="verify-bounds"),
-        pytest.param(["enumerate", "--n", "5"], GENERATION, id="enumerate"),
-        pytest.param(["verify-extremal", "--n", "5"], GENERATION, id="verify-extremal"),
-    ],
-)
-def test_each_command_loads_only_the_layers_it_runs(argv, loaded, tmp_path):
-    """A CLI process imports ``bounds`` only for the commands that check
-    input lines, and the generation layer, with the process pool's
-    modules, only for the commands that generate graphs.  No command
-    loads ``dataclasses`` or ``inspect``."""
+# each command, with its arguments and the WATCHED modules it loads
+COMMANDS = {
+    "construct": (["construct", "path", "3"], set()),
+    "compute": (["compute", "--input", "{}"], {"somborkit.bounds"}),
+    "verify-bounds": (["verify-bounds", "--input", "{}"], {"somborkit.bounds"}),
+    "enumerate": (["enumerate", "--n", "5"], GENERATION),
+    "verify-extremal": (["verify-extremal", "--n", "5"], GENERATION),
+}
+
+
+def _run_command(argv, tmp_path, report: str) -> subprocess.CompletedProcess:
+    """Run one CLI command in a fresh process, ``{}`` in argv standing for
+    a two-line graph6 file, and print its exit status and then the Python
+    expression ``report``, evaluated after the command."""
     src = tmp_path / "in.g6"
     src.write_text("D?{\nBW\n")
     probe = (
         "import sys\n"
         "from somborkit.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        f"print(code, sorted(name for name in {WATCHED!r} if name in sys.modules))\n"
+        f"print(code, {report})\n"
     )
     argv = [arg.format(src) for arg in argv] + ["--output", str(tmp_path / "out")]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env=_module_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("argv, loaded", COMMANDS.values(), ids=COMMANDS)
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded, tmp_path):
+    """A CLI process imports ``bounds`` only for the commands that check
+    input lines, and the generation layer, with the process pool's
+    modules, only for the commands that generate graphs.  No command
+    loads ``dataclasses`` or ``inspect``."""
+    report = f"sorted(name for name in {WATCHED!r} if name in sys.modules)"
+    done = _run_command(argv, tmp_path, report)
     assert (done.returncode, done.stdout, done.stderr) == (0, f"0 {sorted(loaded)}\n", "")
+
+
+def test_every_module_is_run_by_some_command(tmp_path):
+    """The package holds what the CLI runs: the commands above load, between
+    them, every module of ``src/somborkit``.  ``__main__`` is left out;
+    ``test_runs_as_a_module`` runs it."""
+    package = Path(somborkit.__file__).parent
+    modules = {
+        "somborkit" if file.stem == "__init__" else f"somborkit.{file.stem}"
+        for file in package.glob("*.py")
+        if file.stem != "__main__"
+    }
+    report = "*(name for name in sys.modules if name.partition('.')[0] == 'somborkit')"
+    loaded = set()
+    for argv, _ in COMMANDS.values():
+        done = _run_command(argv, tmp_path, report)
+        code, *names = done.stdout.split()
+        assert (done.returncode, code, done.stderr) == (0, "0", ""), argv
+        loaded.update(names)
+    assert loaded == modules
 
 
 def test_the_layer_names_resolve_on_access():

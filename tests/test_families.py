@@ -14,7 +14,6 @@ from somborkit.families import (
     is_cycle_graph,
     is_h_graph,
     is_path_graph,
-    is_regular,
     is_star_plus_isolated,
     max_reduced_sombor_value,
     max_sombor_value,
@@ -23,15 +22,14 @@ from somborkit.families import (
     star_plus_isolated,
 )
 from somborkit.graphs import (
-    cyclomatic_number,
-    degree_sequence,
-    delete_vertex,
     edge_stats,
     graph_from_edges,
     is_connected,
     parse_graph6,
 )
 from somborkit.indices import reduced_sombor, sombor
+
+from conftest import cyclomatic_number, degree_sequence, delete_vertex, is_regular
 
 
 def test_h_graph_structure():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from majorization import Relation, compare, hypotenuse_term, karamata_compare
+
 from somborkit.families import h_degree_sequence
-from somborkit.majorization import Relation, compare, hypotenuse_term, karamata_compare
 
 
 def test_compare_basic():
