@@ -2,17 +2,16 @@
 
 Every bound here, and every equality class, depends only on n, m, the
 component count and the histogram of endpoint-degree pairs, which fixes
-the degrees.  So each graph is profiled once: a
-``GraphRecord`` holds its ``EdgeStats`` (one ``edge_stats`` call), its
-graph6 text (the text it was read from, or encoded once for a generated
-graph) and the four index values, each evaluated from the profile at
-most once and only if a selected bound reads it.  Every check reads that
-record; ``run_suite`` takes graphs or records, builds a record per graph
-as it goes, checks every selected bound on it and hands the graph's
-reports to a sink before reading the next graph, and the public
-``check_*`` functions also accept a plain ``Graph`` and build the record
-themselves.  Index values are ``math.fsum`` sums over the histogram, so
-a report does not depend on how the graph's vertices are labeled.
+the degrees.  So each graph is profiled once: a ``GraphRecord`` holds
+its ``EdgeStats`` (one ``edge_stats`` call), its graph6 text (the text it
+was read from, or encoded once for a generated graph) and the four index
+values, each evaluated from the profile at most once and only if a
+selected bound reads it.  Every check reads that record: the public
+``check_*`` functions take a record, and ``run_suite`` takes records,
+checks every selected bound on each and hands the graph's reports to a
+sink before reading the next record.  Index values are ``math.fsum``
+sums over the histogram, so a report does not depend on how the graph's
+vertices are labeled.
 
 Each checked statement is one ``Bound`` row of the ``BOUNDS`` table, under
 its group name: its id, sides, sense, vacuity predicate and equality class.
@@ -92,10 +91,6 @@ class GraphRecord:
     @cached_property
     def edge_degree_counts(self) -> dict[int, int]:
         return self.stats.edge_degree_counts
-
-
-def _record(g: Graph | GraphRecord) -> GraphRecord:
-    return g if isinstance(g, GraphRecord) else GraphRecord(g)
 
 
 class BoundReport(NamedTuple):
@@ -181,7 +176,7 @@ class Bound(NamedTuple):
 # group name -> its rows, in the order the group reports them
 BOUNDS: dict[str, tuple[Bound, ...]] = {}
 # group name -> its public check, as a callable returning the group's reports
-BOUND_GROUPS: dict[str, Callable[[Graph | GraphRecord], list[BoundReport]]] = {}
+BOUND_GROUPS: dict[str, Callable[[GraphRecord], list[BoundReport]]] = {}
 
 
 def _group(name: str, *rows: Bound) -> Callable[[Callable], Callable]:
@@ -190,7 +185,7 @@ def _group(name: str, *rows: Bound) -> Callable[[Callable], Callable]:
 
     def enter(check: Callable) -> Callable:
         BOUNDS[name] = rows
-        BOUND_GROUPS[name] = check if len(rows) > 1 else lambda g: [check(g)]
+        BOUND_GROUPS[name] = check if len(rows) > 1 else lambda rec: [check(rec)]
         return check
 
     return enter
@@ -213,20 +208,20 @@ def _edgeless(r: GraphRecord) -> bool:
     lambda r: (r.so_shifted, r.graph.m * math.sqrt((r.graph.m + 1) ** 2 + 4)),
     "upper", _never, is_star_plus_isolated,
 ))
-def check_so_shifted_upper(g: Graph | GraphRecord) -> BoundReport:
+def check_so_shifted_upper(rec: GraphRecord) -> BoundReport:
     """sombor_shifted(G) <= m*sqrt((m+1)^2 + 4); equality exactly on a star
     with m edges plus isolated vertices."""
-    return BOUNDS["so-shifted-upper"][0].check(_record(g))
+    return BOUNDS["so-shifted-upper"][0].check(rec)
 
 
 @_group("so-red-upper", Bound(
     "so-red-upper", lambda r: (r.so_red, r.graph.m * (r.graph.m - 1)),
     "upper", _never, is_star_plus_isolated,
 ))
-def check_so_red_upper(g: Graph | GraphRecord) -> BoundReport:
+def check_so_red_upper(rec: GraphRecord) -> BoundReport:
     """reduced_sombor(G) <= m(m-1); equality exactly on a star with m edges
     plus isolated vertices."""
-    return BOUNDS["so-red-upper"][0].check(_record(g))
+    return BOUNDS["so-red-upper"][0].check(rec)
 
 
 def _is_star(s: EdgeStats) -> bool:
@@ -241,9 +236,9 @@ def _not_a_tree(r: GraphRecord) -> bool:
     "tree-so-red-upper", lambda r: (r.so_red, (r.graph.n - 1) * (r.graph.n - 2)),
     "upper", _not_a_tree, _is_star,
 ))
-def check_tree_corollary(g: Graph | GraphRecord) -> BoundReport:
+def check_tree_corollary(rec: GraphRecord) -> BoundReport:
     """On trees: reduced_sombor(T) <= (n-1)(n-2), equality iff T is a star."""
-    return BOUNDS["tree-so-red-upper"][0].check(_record(g))
+    return BOUNDS["tree-so-red-upper"][0].check(rec)
 
 
 def _degree_sum_sides(r: GraphRecord) -> tuple[float, float]:
@@ -269,7 +264,7 @@ def _outside_degree_sum_hypothesis(r: GraphRecord) -> bool:
 @_group("degree-sum-upper", Bound(
     "degree-sum-upper", _degree_sum_sides, "upper", _outside_degree_sum_hypothesis, is_h_graph,
 ))
-def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
+def check_degree_sum_bound(rec: GraphRecord) -> BoundReport:
     """For graphs with a dominating vertex and cyclomatic number nu <= n-2:
     the sum of sqrt((n-1)^2 + d(v)^2) over the other vertices is at most
     (n-nu-2)sqrt((n-1)^2+1) + nu*sqrt((n-1)^2+4) + sqrt((n-1)^2+(nu+1)^2),
@@ -292,7 +287,7 @@ def check_degree_sum_bound(g: Graph | GraphRecord) -> BoundReport:
 
     which is positive for a >= 6.  E(4) = 0.0498 (``DJ{``) and
     E(5) = 0.0333 are positive too."""
-    return BOUNDS["degree-sum-upper"][0].check(_record(g))
+    return BOUNDS["degree-sum-upper"][0].check(rec)
 
 
 def _epsilon1_sides(r: GraphRecord) -> tuple[int, int]:
@@ -312,14 +307,13 @@ def _epsilon2_sides(r: GraphRecord) -> tuple[int, int]:
     Bound("epsilon1-identity", _epsilon1_sides, "identity", _has_isolated_edge),
     Bound("epsilon2-identity", _epsilon2_sides, "identity", _has_isolated_edge),
 )
-def check_epsilon_identities(g: Graph | GraphRecord) -> list[BoundReport]:
+def check_epsilon_identities(rec: GraphRecord) -> list[BoundReport]:
     """Exact integer identities for the counts of edge-degree-1 and
     edge-degree-2 edges, valid whenever there is no isolated edge:
 
         e1 = 4m - M1 + sum_{i>=3} e_i (i-2)
         e2 = M1 - 3m - sum_{i>=3} e_i (i-1)
     """
-    rec = _record(g)
     return [b.check(rec) for b in BOUNDS["epsilon-identities"]]
 
 
@@ -332,11 +326,11 @@ def _is_path_or_cycle(s: EdgeStats) -> bool:
     lambda r: (r.so, SO_LOWER_COEFF * (3 * r.m1 - 4 * r.graph.m + 2 * math.sqrt(10) * r.graph.m)),
     "lower", _has_isolated_edge, _is_path_or_cycle,
 ))
-def check_so_lower_bound(g: Graph | GraphRecord) -> BoundReport:
+def check_so_lower_bound(rec: GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     sombor(G) >= (1/3)(2*sqrt2 - sqrt5)(3*M1 - 4m + 2*sqrt10*m),
     with equality iff G is a path or a cycle."""
-    return BOUNDS["so-lower"][0].check(_record(g))
+    return BOUNDS["so-lower"][0].check(rec)
 
 
 @_group("so-red-lower", Bound(
@@ -344,11 +338,11 @@ def check_so_lower_bound(g: Graph | GraphRecord) -> BoundReport:
     lambda r: (r.so_red, SO_RED_LOWER_COEFF * (r.m1 - 2 * r.graph.m + math.sqrt(2) * r.graph.m)),
     "lower", _has_isolated_edge, _is_path_or_cycle,
 ))
-def check_so_red_lower_bound(g: Graph | GraphRecord) -> BoundReport:
+def check_so_red_lower_bound(rec: GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     reduced_sombor(G) >= (sqrt2 - 1)(M1 - 2m + sqrt2*m),
     with equality iff G is a path or a cycle."""
-    return BOUNDS["so-red-lower"][0].check(_record(g))
+    return BOUNDS["so-red-lower"][0].check(rec)
 
 
 @_group(
@@ -367,7 +361,7 @@ def check_so_red_lower_bound(g: Graph | GraphRecord) -> BoundReport:
         "lower", _edgeless, all_edges_join_equal_degrees,
     ),
 )
-def check_zagreb_sandwich(g: Graph | GraphRecord) -> list[BoundReport]:
+def check_zagreb_sandwich(rec: GraphRecord) -> list[BoundReport]:
     """The four first-Zagreb comparisons, vacuous on edgeless graphs:
 
         M1 > SO               (strict; per-edge margin at least 2 - sqrt2)
@@ -375,7 +369,6 @@ def check_zagreb_sandwich(g: Graph | GraphRecord) -> list[BoundReport]:
         SO_red <= M1 - 2m     (equality iff every edge has a leaf endpoint)
         SO_red >= (M1-2m)/sqrt2  (equality iff every edge joins equal degrees)
     """
-    rec = _record(g)
     return [b.check(rec) for b in BOUNDS["zagreb-sandwich"]]
 
 
@@ -400,18 +393,17 @@ class SuiteSummary(NamedTuple):
 
 
 def run_suite(
-    graphs: Iterable[Graph | GraphRecord],
+    records: Iterable[GraphRecord],
     bounds: Iterable[str] | None = None,
     sink: Callable[[list[BoundReport]], object] | None = None,
 ) -> SuiteSummary:
     """Evaluate the selected bound groups on every graph.
 
-    ``graphs`` may be a lazy iterable of graphs or records; it is read
-    once, one graph at a time.  ``bounds`` is a list of group names (the
-    keys of BOUNDS), each checked once in the order first named; None
-    means all of them.
+    ``records`` may be a lazy iterable; it is read once, one record at a
+    time.  ``bounds`` is a list of group names (the keys of BOUNDS), each
+    checked once in the order first named; None means all of them.
     Each graph's reports (one per row of the selected groups, in group
-    order) are passed to ``sink`` before the next graph is read, and then
+    order) are passed to ``sink`` before the next record is read, and then
     dropped: the returned summary keeps only the tallies and the violation
     and anomaly reports, so memory grows with the flagged reports alone.
     """
@@ -426,9 +418,8 @@ def run_suite(
     n_graphs = n_reports = holds = equality = vacuous = 0
     violations: list[BoundReport] = []
     anomalies: list[BoundReport] = []
-    for g in graphs:
+    for rec in records:
         n_graphs += 1
-        rec = _record(g)
         reports = [b.check(rec) for b in rows]
         n_reports += len(reports)
         for r in reports:

@@ -21,8 +21,9 @@ has been checked is the spool copied to the output; a malformed line or
 an ambiguous cell prints only its error, and ``--output FILE`` is then
 not created.  ``enumerate`` and ``verify-extremal`` check every requested
 level before building any, and refuse a request that selects none.
-``enumerate`` writes each graph6 line as its level is built; a generated
-universe reaches ``compute`` and ``verify-bounds`` through a pipe
+``enumerate`` writes a level's graph6 lines in one write as soon as the
+level is built; a generated universe reaches ``compute`` and
+``verify-bounds`` through a pipe
 (``somborkit enumerate --n 1..7 | somborkit verify-bounds``).
 ``verify-extremal`` prints the verdict ``extremal_search`` gives each
 cell and builds no verdict of its own.
@@ -49,7 +50,7 @@ import signal
 import sys
 import tempfile
 from contextlib import nullcontext
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
 from .families import FAMILIES
 from .graphs import Graph6Error, encode_graph6, graph6_header, parse_graph6
@@ -79,14 +80,6 @@ _BOOL = ("false", "true")
 
 def _open_output(path: str):
     return nullcontext(sys.stdout) if path == "-" else open(path, "w")
-
-
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write each graph6 line to a file, or to stdout for "-", as it is
-    produced."""
-    with _open_output(path) as out:
-        for line in lines:
-            print(line, file=out)
 
 
 def _spool() -> IO[str]:
@@ -172,7 +165,8 @@ def cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(_construct_usage(), file=sys.stderr)
         return 2
-    _write_lines(args.output, [encode_graph6(g)])
+    with _open_output(args.output) as out:
+        print(encode_graph6(g), file=out)
     return 0
 
 
@@ -217,8 +211,11 @@ def cmd_enumerate(args) -> int:
         builder = enumeration.connected_graphs
     else:
         builder = enumeration.all_graphs
-    graphs = (g for n, ms in levels for m in ms for g in builder(n, m, workers=args.workers))
-    _write_lines(args.output, map(encode_graph6, graphs))
+    with _open_output(args.output) as out:
+        for n, ms in levels:
+            for m in ms:
+                graphs = builder(n, m, workers=args.workers)
+                out.write("".join(encode_graph6(g) + "\n" for g in graphs))
     return 0
 
 

@@ -125,7 +125,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, NamedTuple
 
 from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
-from .graphs import Graph, is_connected
+from .graphs import Graph, edge_stats, is_connected
 from .indices import INDEX_FUNCTIONS, _is_tie, edge_sum
 
 CANON_MAX_N = 10
@@ -570,9 +570,9 @@ def extremal_search(
         raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
     if callable(index):
         term = index
-        value_of = lambda g: edge_sum(g, term)  # noqa: E731
+        value_of = lambda s: edge_sum(s, term)  # noqa: E731
         label = getattr(index, "__name__", "custom")
-        expected = value_of(h_graph(n, nu))
+        expected = value_of(edge_stats(h_graph(n, nu)))
     else:
         if index not in INDEX_FUNCTIONS:
             raise ValueError(f"unknown index {index!r} (one of {sorted(INDEX_FUNCTIONS)})")
@@ -580,8 +580,14 @@ def extremal_search(
         label = index
         expected = CLOSED_FORMS[index](n, nu)
     universe = connected_graphs(n, n - 1 + nu, workers=workers)
-    values = [value_of(g) for g in universe]
-    max_value = max(values)
+    # each class is profiled once; the first profile of greatest value is
+    # kept, as it is the maximizer's when that is unique
+    values: list[float] = []
+    max_value, top = float("-inf"), None
+    for s in map(edge_stats, universe):
+        values.append(value_of(s))
+        if values[-1] > max_value:
+            max_value, top = values[-1], s
     maximizers = tuple(g for g, v in zip(universe, values) if _is_tie(v, max_value))
     rest = [v for v in values if not _is_tie(v, max_value)]
     runner_up_gap = max_value - max(rest) if rest else float("inf")
@@ -591,7 +597,7 @@ def extremal_search(
             f"n={n}, nu={nu}, index={label}: runner-up gap {runner_up_gap:.3e} "
             f"is below {UNIQUENESS_GAP:.0e}; refusing to claim a unique maximizer"
         )
-    confirms_h = unique and is_h_graph(maximizers[0]) and _is_tie(expected, max_value)
+    confirms_h = unique and is_h_graph(top) and _is_tie(expected, max_value)
     return ExtremalReport(
         n=n,
         nu=nu,

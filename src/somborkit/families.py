@@ -7,8 +7,9 @@ maximizes both the Sombor and the reduced Sombor index, and
 ``max_sombor_value`` / ``max_reduced_sombor_value`` give those maxima in
 closed form.
 
-Each membership test takes a graph or its ``EdgeStats`` and decides from
-that degree profile alone, with no edge walk or search.
+Each membership test takes a profile, the ``EdgeStats`` of
+``graphs.edge_stats``, and decides from it alone, with no edge walk or
+search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .graphs import EdgeStats, Graph, edge_stats, graph_from_edges
+from .graphs import EdgeStats, Graph, graph_from_edges
 
 
 def empty_graph(n: int) -> Graph:
@@ -115,27 +116,20 @@ FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
 # -- membership tests, decided from the degree profile ----------------------
 
 
-def _profile(g: Graph | EdgeStats) -> EdgeStats:
-    return g if isinstance(g, EdgeStats) else edge_stats(g)
-
-
-def is_path_graph(g: Graph | EdgeStats) -> bool:
-    s = _profile(g)
+def is_path_graph(s: EdgeStats) -> bool:
     return s.components == 1 and s.m == s.n - 1 and all(d <= 2 for d in s.degrees)
 
 
-def is_cycle_graph(g: Graph | EdgeStats) -> bool:
+def is_cycle_graph(s: EdgeStats) -> bool:
     """Connected and 2-regular, which forces n >= 3 and m == n."""
-    s = _profile(g)
     return s.components == 1 and all(d == 2 for d in s.degrees)
 
 
-def is_star_plus_isolated(g: Graph | EdgeStats) -> bool:
-    """True iff g is a star with m edges plus isolated vertices: every edge
-    joins degrees 1 and m.  Two vertices of degree m >= 2 would need 2m
-    edges, so at most one is the hub.  Edgeless graphs qualify (the star
-    part degenerates to one vertex)."""
-    s = _profile(g)
+def is_star_plus_isolated(s: EdgeStats) -> bool:
+    """True iff the graph is a star with m edges plus isolated vertices:
+    every edge joins degrees 1 and m.  Two vertices of degree m >= 2 would
+    need 2m edges, so at most one is the hub.  Edgeless graphs qualify (the
+    star part degenerates to one vertex)."""
     return all(pair == (1, s.m) for pair in s.endpoint_degree_counts)
 
 
@@ -146,9 +140,9 @@ def h_degree_sequence(n: int, nu: int) -> tuple[int, ...]:
     return (n - 1, nu + 1) + (2,) * nu + (1,) * (n - nu - 2)
 
 
-def is_h_graph(g: Graph | EdgeStats) -> bool:
-    """True iff g is h_graph(n, nu) for nu = m - (n-1): iff its sorted
-    degrees are ``h_degree_sequence(n, nu)``.
+def is_h_graph(s: EdgeStats) -> bool:
+    """True iff the graph is h_graph(n, nu) for nu = m - (n-1): iff its
+    sorted degrees are ``h_degree_sequence(n, nu)``.
 
     That sequence has exactly one realization.  A vertex of degree n-1 is
     adjacent to every other vertex; deleting it leaves the degrees
@@ -158,19 +152,18 @@ def is_h_graph(g: Graph | EdgeStats) -> bool:
     star with nu edges plus isolated vertices, so the graph is
     h_graph(n, nu), which is also connected.
     """
-    s = _profile(g)
     nu = s.m - s.n + 1
     if not 0 <= nu <= s.n - 2:
         return False
     return tuple(sorted(s.degrees, reverse=True)) == h_degree_sequence(s.n, nu)
 
 
-def all_edges_join_equal_degrees(g: Graph | EdgeStats) -> bool:
+def all_edges_join_equal_degrees(s: EdgeStats) -> bool:
     """True iff every edge joins two vertices of the same degree
     (equivalently: every component is regular)."""
-    return all(i == j for i, j in _profile(g).endpoint_degree_counts)
+    return all(i == j for i, j in s.endpoint_degree_counts)
 
 
-def every_edge_has_leaf_endpoint(g: Graph | EdgeStats) -> bool:
+def every_edge_has_leaf_endpoint(s: EdgeStats) -> bool:
     """True iff every edge has an endpoint of degree 1."""
-    return all(i == 1 for i, _ in _profile(g).endpoint_degree_counts)
+    return all(i == 1 for i, _ in s.endpoint_degree_counts)

@@ -6,11 +6,13 @@ degree-constrained backtrack over vertex bijections, labeled graph
 counts from binomials and the component-of-vertex-1 recurrence, and
 isomorphism ground truth from networkx.  The graph helpers that only
 tests need (degree sequence, maximum degree, cyclomatic number, vertex
-deletion, regularity) live here too, not in the package.
+deletion, regularity) live here too, not in the package, with a counter of
+the calls of a ``graphs`` function.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -19,7 +21,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from somborkit.families import _profile
+from somborkit import graphs
 from somborkit.graphs import EdgeStats, Graph, edge_stats, graph_from_edges
 
 
@@ -52,9 +54,24 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph(g.n - 1, rows, g.m - g.rows[v].bit_count())
 
 
-def is_regular(g: Graph | EdgeStats) -> bool:
-    s = _profile(g)
+def is_regular(s: EdgeStats) -> bool:
     return len(set(s.degrees)) == 1
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of the graphs function ``name``,
+    wherever a loaded package module looks it up."""
+    calls = []
+    original = getattr(graphs, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "somborkit" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from somborkit.bounds import (
+    GraphRecord,
     check_epsilon_identities,
     check_so_lower_bound,
     check_so_red_lower_bound,
@@ -116,9 +117,10 @@ def test_criterion_4_upper_bound_equality_census(full_universe):
     for n in range(1, 7):
         for g in full_universe[n]:
             graphs += 1
-            expected = is_star_plus_isolated(g)
+            rec = GraphRecord(g)
+            expected = is_star_plus_isolated(rec.stats)
             for check in (check_so_shifted_upper, check_so_red_upper):
-                r = check(g)
+                r = check(rec)
                 if not r.holds:
                     violations.append((r.bound_id, r.graph6))
                 if r.equality != expected or (r.equality and not r.equality_class_match):
@@ -140,17 +142,18 @@ def test_criterion_5_lower_bounds(connected_universe):
     checked = 0
     for n in range(3, 8):
         for g in connected_universe[n]:
-            if edge_stats(g).isolated_edges:
+            rec = GraphRecord(g)
+            if rec.stats.isolated_edges:
                 continue
             checked += 1
-            expected = is_path_graph(g) or is_cycle_graph(g)
+            expected = is_path_graph(rec.stats) or is_cycle_graph(rec.stats)
             for check in (check_so_lower_bound, check_so_red_lower_bound):
-                r = check(g)
+                r = check(rec)
                 if not r.holds:
                     violations.append((r.bound_id, r.graph6))
                 if r.equality != expected or (r.equality and not r.equality_class_match):
                     census_errors.append((r.bound_id, r.graph6))
-    p3 = check_so_lower_bound(path(3))
+    p3 = check_so_lower_bound(GraphRecord(path(3)))
     spot = (
         abs(p3.lhs - 2 * math.sqrt(5)) <= 1e-9
         and abs(p3.rhs - 2 * math.sqrt(5)) <= 1e-9
@@ -172,10 +175,11 @@ def test_criterion_6_epsilon_identities(full_universe):
     checked = 0
     for n in range(1, 8):
         for g in full_universe[n]:
-            if edge_stats(g).isolated_edges:
+            rec = GraphRecord(g)
+            if rec.stats.isolated_edges:
                 continue
             checked += 1
-            for r in check_epsilon_identities(g):
+            for r in check_epsilon_identities(rec):
                 if not (r.holds and r.slack == 0):
                     failures.append((r.bound_id, r.graph6))
     ok = not failures
@@ -205,8 +209,9 @@ def test_criterion_7_zagreb_sandwich(full_universe, connected_universe):
         for g in connected_universe[n]:
             if g.m == 0:
                 continue
-            equality = abs(sombor(g) - first_zagreb(g) / math.sqrt(2)) <= 1e-9 * first_zagreb(g)
-            if equality != is_regular(g):
+            s = edge_stats(g)
+            equality = abs(sombor(s) - first_zagreb(s) / math.sqrt(2)) <= 1e-9 * first_zagreb(s)
+            if equality != is_regular(s):
                 census_errors.append(encode_graph6(g))
     ok = not violations and not census_errors
     _emit(

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from somborkit import bounds, cli, enumeration, families, graphs, indices
+from somborkit import bounds, cli, enumeration, indices
 from somborkit.bounds import (
     BOUND_GROUPS,
     GraphRecord,
@@ -39,59 +39,62 @@ from somborkit.families import (
 from somborkit.graphs import (
     EdgeStats,
     component_count,
+    edge_stats,
     encode_graph6,
     graph_from_edges,
     parse_graph6,
 )
 
+from conftest import count_calls
+
 K2 = graph_from_edges(2, [(0, 1)])
 
 
 def test_so_shifted_upper():
-    r = check_so_shifted_upper(star_plus_isolated(3, 5))
+    r = check_so_shifted_upper(GraphRecord(star_plus_isolated(3, 5)))
     assert r.holds and r.equality and r.equality_class_match
     assert r.rhs == pytest.approx(3 * math.sqrt(20), rel=1e-12)
-    r = check_so_shifted_upper(path(4))
+    r = check_so_shifted_upper(GraphRecord(path(4)))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(2 * math.sqrt(13) + math.sqrt(18), rel=1e-12)
-    r = check_so_shifted_upper(empty_graph(3))
+    r = check_so_shifted_upper(GraphRecord(empty_graph(3)))
     assert r.equality and r.equality_class_match and r.lhs == 0 == r.rhs
 
 
 def test_so_red_upper():
-    r = check_so_red_upper(star(6))
+    r = check_so_red_upper(GraphRecord(star(6)))
     assert r.equality and r.equality_class_match and r.rhs == 20
-    r = check_so_red_upper(cycle(4))
+    r = check_so_red_upper(GraphRecord(cycle(4)))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(4 * math.sqrt(2), rel=1e-12) and r.rhs == 12
-    r = check_so_red_upper(K2)
+    r = check_so_red_upper(GraphRecord(K2))
     assert r.equality and r.equality_class_match and r.rhs == 0
 
 
 def test_tree_corollary():
-    r = check_tree_corollary(star(7))
+    r = check_tree_corollary(GraphRecord(star(7)))
     assert r.equality and r.equality_class_match and r.rhs == 30
-    r = check_tree_corollary(path(5))
+    r = check_tree_corollary(GraphRecord(path(5)))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(2 + 2 * math.sqrt(2), rel=1e-12)
-    assert check_tree_corollary(K2).equality
-    assert check_tree_corollary(cycle(5)).vacuous
-    assert check_tree_corollary(star_plus_isolated(2, 4)).vacuous  # disconnected
+    assert check_tree_corollary(GraphRecord(K2)).equality
+    assert check_tree_corollary(GraphRecord(cycle(5))).vacuous
+    assert check_tree_corollary(GraphRecord(star_plus_isolated(2, 4))).vacuous  # disconnected
 
 
 def test_degree_sum_bound():
-    r = check_degree_sum_bound(h_graph(6, 3))
+    r = check_degree_sum_bound(GraphRecord(h_graph(6, 3)))
     assert r.holds and r.equality and r.equality_class_match
     # hub plus two disjoint extra edges: strict
     g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-    r = check_degree_sum_bound(g)
+    r = check_degree_sum_bound(GraphRecord(g))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(4 * math.sqrt(20), rel=1e-12)
     assert r.rhs == pytest.approx(math.sqrt(17) + 2 * math.sqrt(20) + 5, rel=1e-12)
-    r = check_degree_sum_bound(star(6))
+    r = check_degree_sum_bound(GraphRecord(star(6)))
     assert r.equality and r.equality_class_match
-    assert check_degree_sum_bound(path(4)).vacuous  # no dominating vertex
-    assert check_degree_sum_bound(graph_from_edges(1, [])).vacuous
+    assert check_degree_sum_bound(GraphRecord(path(4))).vacuous  # no dominating vertex
+    assert check_degree_sum_bound(GraphRecord(graph_from_edges(1, []))).vacuous
 
 
 def test_degree_sum_known_counterexamples():
@@ -100,14 +103,14 @@ def test_degree_sum_known_counterexamples():
     pretending the bound holds.  Verified by hand for K4 plus a pendant:
     lhs = 15 + sqrt(17) exceeds rhs = 3*sqrt(20) + sqrt(32)."""
     k4_pendant = parse_graph6("DJ{")
-    r = check_degree_sum_bound(k4_pendant)
+    r = check_degree_sum_bound(GraphRecord(k4_pendant))
     assert not r.vacuous and not r.holds
     assert r.lhs == pytest.approx(15 + math.sqrt(17), rel=1e-12)
     assert r.rhs == pytest.approx(3 * math.sqrt(20) + math.sqrt(32), rel=1e-12)
     assert r.slack == pytest.approx(r.rhs - r.lhs, rel=1e-12) and r.slack < 0
 
     hub_triangle = parse_graph6("E@Nw")
-    assert not check_degree_sum_bound(hub_triangle).holds
+    assert not check_degree_sum_bound(GraphRecord(hub_triangle)).holds
 
 
 def _is_graphical(seq: tuple[int, ...]) -> bool:
@@ -169,36 +172,36 @@ def test_degree_sum_excess_meets_its_proved_lower_bound():
 
 
 def test_epsilon_identities():
-    r1, r2 = check_epsilon_identities(path(4))
+    r1, r2 = check_epsilon_identities(GraphRecord(path(4)))
     assert r1.holds and r1.lhs == 2 and r1.rhs == 2
     assert r2.holds and r2.lhs == 1 and r2.rhs == 1
-    r1, r2 = check_epsilon_identities(cycle(6))
+    r1, r2 = check_epsilon_identities(GraphRecord(cycle(6)))
     assert (r1.lhs, r2.lhs) == (0, 6) and r1.holds and r2.holds
-    r1, r2 = check_epsilon_identities(star(5))
+    r1, r2 = check_epsilon_identities(GraphRecord(star(5)))
     assert (r1.lhs, r2.lhs) == (0, 0) and r1.holds and r2.holds
-    r1, r2 = check_epsilon_identities(K2)
+    r1, r2 = check_epsilon_identities(GraphRecord(K2))
     assert r1.vacuous and r2.vacuous
 
 
 def test_so_lower_bound():
-    r = check_so_lower_bound(path(3))
+    r = check_so_lower_bound(GraphRecord(path(3)))
     assert r.equality and r.equality_class_match
     assert r.rhs == pytest.approx(2 * math.sqrt(5), rel=1e-12)
-    r = check_so_lower_bound(cycle(6))
+    r = check_so_lower_bound(GraphRecord(cycle(6)))
     assert r.equality and r.equality_class_match
     assert r.rhs == pytest.approx(12 * math.sqrt(2), rel=1e-12)
-    r = check_so_lower_bound(star(5))
+    r = check_so_lower_bound(GraphRecord(star(5)))
     assert r.holds and not r.equality
-    assert check_so_lower_bound(K2).vacuous  # isolated edge
+    assert check_so_lower_bound(GraphRecord(K2)).vacuous  # isolated edge
 
 
 def test_so_red_lower_bound():
-    r = check_so_red_lower_bound(cycle(6))
+    r = check_so_red_lower_bound(GraphRecord(cycle(6)))
     assert r.equality and r.equality_class_match
     assert r.rhs == pytest.approx(6 * math.sqrt(2), rel=1e-12)
-    r = check_so_red_lower_bound(path(5))
+    r = check_so_red_lower_bound(GraphRecord(path(5)))
     assert r.equality and r.equality_class_match
-    r = check_so_red_lower_bound(star(4))
+    r = check_so_red_lower_bound(GraphRecord(star(4)))
     assert r.holds and not r.equality
 
 
@@ -206,10 +209,10 @@ def test_lower_bound_anomalies_on_disconnected_equality_cases():
     """A path plus an isolated vertex, or a union of cycles, attains the
     lower bound without being a path or cycle; the reports flag these as
     anomalies rather than silently accepting the equality."""
-    p3_k1 = graph_from_edges(4, [(0, 1), (1, 2)])
+    p3_k1 = GraphRecord(graph_from_edges(4, [(0, 1), (1, 2)]))
     r = check_so_lower_bound(p3_k1)
     assert r.equality and not r.equality_class_match and r.anomaly
-    two_c3 = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    two_c3 = GraphRecord(graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
     r = check_so_lower_bound(two_c3)
     assert r.equality and r.anomaly
     r = check_so_red_lower_bound(two_c3)
@@ -217,13 +220,13 @@ def test_lower_bound_anomalies_on_disconnected_equality_cases():
 
 
 def test_zagreb_sandwich():
-    by_id = {r.bound_id: r for r in check_zagreb_sandwich(cycle(5))}
+    by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(cycle(5)))}
     assert all(r.holds for r in by_id.values())
     assert by_id["zagreb-so-lower"].equality and by_id["zagreb-so-lower"].equality_class_match
     assert by_id["zagreb-so-red-lower"].equality
     assert not by_id["zagreb-so-upper"].equality
 
-    by_id = {r.bound_id: r for r in check_zagreb_sandwich(star(4))}
+    by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(star(4)))}
     assert all(r.holds for r in by_id.values())
     assert by_id["zagreb-so-upper"].lhs == pytest.approx(3 * math.sqrt(10), rel=1e-12)
     assert by_id["zagreb-so-upper"].rhs == 12
@@ -231,16 +234,17 @@ def test_zagreb_sandwich():
     assert by_id["zagreb-so-red-upper"].equality
     assert by_id["zagreb-so-red-upper"].equality_class_match
 
-    assert all(r.vacuous for r in check_zagreb_sandwich(empty_graph(3)))
-    by_id = {r.bound_id: r for r in check_zagreb_sandwich(K2)}
+    assert all(r.vacuous for r in check_zagreb_sandwich(GraphRecord(empty_graph(3))))
+    by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(K2))}
     assert all(r.holds for r in by_id.values())
     assert by_id["zagreb-so-red-upper"].equality  # 0 = 0 on a lone edge
 
 
 def suite(graphs, bounds=None):
-    """``run_suite`` with every report its sink receives collected."""
+    """``run_suite`` on a record per graph, with every report its sink
+    receives collected."""
     reports = []
-    summary = run_suite(graphs, bounds, reports.extend)
+    summary = run_suite(map(GraphRecord, graphs), bounds, reports.extend)
     return reports, summary
 
 
@@ -266,7 +270,7 @@ def test_run_suite_empty_and_unknown():
     reports, summary = suite([])
     assert reports == [] and summary.graphs == 0 and summary.ok
     with pytest.raises(ValueError):
-        run_suite([K2], ["no-such-bound"])
+        run_suite([GraphRecord(K2)], ["no-such-bound"])
 
 
 def test_run_suite_checks_each_selected_group_once():
@@ -314,9 +318,9 @@ def test_bound_table_keeps_the_groups_and_ids_in_order():
     assert list(table.items()) == list(groups.items())
     assert list(BOUND_GROUPS) == list(groups)
     assert sum(map(len, table.values())) == 12
-    g = h_graph(6, 2)
+    rec = GraphRecord(h_graph(6, 2))
     for name, ids in groups.items():
-        assert tuple(r.bound_id for r in BOUND_GROUPS[name](g)) == ids
+        assert tuple(r.bound_id for r in BOUND_GROUPS[name](rec)) == ids
 
 
 def test_characterized_bounds_are_the_rows_with_an_equality_class():
@@ -401,7 +405,7 @@ def test_run_suite_hands_each_graph_to_the_sink_before_reading_the_next():
     def feed():
         for g in sample:
             read.append(g)
-            yield g
+            yield GraphRecord(g)
 
     handed = []
     summary = run_suite(
@@ -441,9 +445,10 @@ def test_equality_census_upper_bounds(full_universe):
     with at most 6 vertices are exactly the star-plus-isolated ones."""
     for n in range(1, 7):
         for g in full_universe[n]:
-            expected = is_star_plus_isolated(g)
+            rec = GraphRecord(g)
+            expected = is_star_plus_isolated(rec.stats)
             for check in (check_so_shifted_upper, check_so_red_upper):
-                r = check(g)
+                r = check(rec)
                 assert r.holds
                 assert r.equality == expected, (r.bound_id, r.graph6)
                 if r.equality:
@@ -455,30 +460,15 @@ def test_equality_census_lower_bounds(connected_universe):
     graphs are exactly the paths and cycles."""
     for n in range(3, 7):
         for g in connected_universe[n]:
-            expected = is_path_graph(g) or is_cycle_graph(g)
+            rec = GraphRecord(g)
+            expected = is_path_graph(rec.stats) or is_cycle_graph(rec.stats)
             for check in (check_so_lower_bound, check_so_red_lower_bound):
-                r = check(g)
+                r = check(rec)
                 if r.vacuous:
                     assert n == 2  # only K2 is out of hypothesis when connected
                     continue
                 assert r.holds
                 assert r.equality == expected, (r.bound_id, r.graph6)
-
-
-def count_calls(monkeypatch, name: str) -> list:
-    """Record every call of the graphs function ``name``, wherever the
-    package looks it up."""
-    calls = []
-    original = getattr(graphs, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in (bounds, cli, enumeration, families, graphs, indices):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_run_suite_profiles_and_encodes_each_graph_once(monkeypatch):
@@ -602,7 +592,7 @@ def test_run_suite_matches_per_edge_reference():
             else:
                 equality = not vacuous and abs(slack) <= scale
                 holds = vacuous or (slack > scale if strict else slack >= -scale)
-            match = bool(equality and predicate is not None and predicate(g))
+            match = bool(equality and predicate is not None and predicate(edge_stats(g)))
             flags = (r.holds, r.equality, r.equality_class_match, r.vacuous)
             assert flags == (holds, equality, match, bool(vacuous)), (bound_id, r.graph6)
             live[bound_id] += not vacuous

@@ -650,7 +650,7 @@ def test_report_row_matches_the_generic_writer(connected_universe):
     such as m(m-1), are written as the ints were, up to 12 digits."""
     reports = []
     universe = [g for n in range(1, 8) for g in connected_universe[n]]
-    run_suite([*universe, graph_from_edges(0, [])], sink=reports.extend)
+    run_suite(map(GraphRecord, [*universe, graph_from_edges(0, [])]), sink=reports.extend)
     assert len(reports) == 11952 + 12
     integral = 0
     for r in reports:

@@ -31,6 +31,7 @@ from somborkit.graphs import (
 
 from conftest import (
     aut_count,
+    count_calls,
     graph_from_mask,
     graphs_strategy,
     labeled_connected_count,
@@ -732,6 +733,17 @@ def test_extremal_search_decides_the_cell(monkeypatch):
     report = extremal_search(6, 2, "so")
     assert report.unique and not report.confirms_h
     assert canonical_form(report.maximizers[0]) == canonical_form(h_graph(6, 2))
+
+
+def test_extremal_search_profiles_each_class_once(monkeypatch):
+    """The search evaluates the index and decides the maximizer from one
+    profile per class: ``edge_stats`` runs once on each graph of the cell,
+    wherever the package looks it up."""
+    profiled = count_calls(monkeypatch, "edge_stats")
+    report = extremal_search(7, 2, "so")
+    assert report.confirms_h
+    assert len(profiled) == report.universe_size
+    assert [args[0] for args in profiled] == connected_graphs(7, 8)
 
 
 def test_scope_caps():
