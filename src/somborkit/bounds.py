@@ -22,19 +22,29 @@ Slack is oriented so that ``slack >= 0`` is the uniform holds-test:
 rhs - lhs for upper bounds, lhs - rhs for lower bounds.  Equality
 detection is two-stage: numeric (lhs and rhs tie under
 ``indices._is_tie``, |slack| <= 1e-9 * max(1, |rhs|)) and then
-structural, by the ``families`` test of the proven class.  A numeric
-equality also counts as holding for an upper or lower bound and as
-failing for a strict one.
+structural, by the row's equality class, a rule on the profile.  A
+numeric equality also counts as holding for an upper or lower bound and
+as failing for a strict one.
 A numeric equality without the structural match is an anomaly and is
 never silently accepted.  An identity compares exact integers: it holds
 only at slack 0 and has no equality class.
 
+Eight rows are per-edge rows: the two identities, the two M1 lower bounds
+and the four Zagreb rows.  Their slack is a sum over edges of one term
+g(a, b) of the endpoint degrees, so such a row holds on every graph iff
+g >= 0 on every pair its hypothesis admits, and its equality graphs are
+those whose pairs all lie in the zero set {g = 0}.  Each row's ``check_*``
+docstring proves this, and its equality class is a rule on the pairs.
+The global upper rows use the ``families`` tests ``is_star_plus_isolated``
+and ``is_h_graph``.
+
 Hypothesis notes.  The lower bounds assume no isolated edges (no K2
-component); isolated vertices are permitted, so equality cases such as a
-path plus an isolated vertex, or a disjoint union of cycles, are flagged
-as anomalies on disconnected universes -- their edge structure attains the
-bound but the graph is not a path or a cycle.  Censuses therefore run on
-connected universes.
+component); isolated vertices are permitted.  Their equality graphs are
+then exactly those with maximum degree at most 2, but the class reported
+as a match is the connected part, a path or a cycle.  So a disconnected
+equality graph, such as a path plus an isolated vertex or a disjoint
+union of cycles, is flagged as an anomaly, and censuses run on connected
+universes.
 """
 
 from __future__ import annotations
@@ -43,14 +53,7 @@ import math
 from functools import cached_property
 from typing import Callable, Iterable, Literal, NamedTuple
 
-from .families import (
-    all_edges_join_equal_degrees,
-    every_edge_has_leaf_endpoint,
-    is_cycle_graph,
-    is_h_graph,
-    is_path_graph,
-    is_star_plus_isolated,
-)
+from .families import is_h_graph, is_star_plus_isolated
 from .graphs import EdgeStats, Graph, edge_stats, encode_graph6
 from .indices import _is_tie, first_zagreb, reduced_sombor, sombor, sombor_shifted
 
@@ -224,20 +227,18 @@ def check_so_red_upper(rec: GraphRecord) -> BoundReport:
     return BOUNDS["so-red-upper"][0].check(rec)
 
 
-def _is_star(s: EdgeStats) -> bool:
-    return s.components == 1 and is_star_plus_isolated(s)
-
-
 def _not_a_tree(r: GraphRecord) -> bool:
     return r.stats.components != 1 or r.graph.m != r.graph.n - 1
 
 
 @_group("tree-so-red-upper", Bound(
     "tree-so-red-upper", lambda r: (r.so_red, (r.graph.n - 1) * (r.graph.n - 2)),
-    "upper", _not_a_tree, _is_star,
+    "upper", _not_a_tree, is_star_plus_isolated,
 ))
 def check_tree_corollary(rec: GraphRecord) -> BoundReport:
-    """On trees: reduced_sombor(T) <= (n-1)(n-2), equality iff T is a star."""
+    """On trees: reduced_sombor(T) <= (n-1)(n-2), equality iff T is a star.
+    The row is vacuous off trees, and a tree is a star iff every edge joins
+    degrees 1 and m."""
     return BOUNDS["tree-so-red-upper"][0].check(rec)
 
 
@@ -313,36 +314,86 @@ def check_epsilon_identities(rec: GraphRecord) -> list[BoundReport]:
 
         e1 = 4m - M1 + sum_{i>=3} e_i (i-2)
         e2 = M1 - 3m - sum_{i>=3} e_i (i-1)
-    """
+
+    Proof.  Both sides are sums over edges of a term in the edge's degree
+    k = a + b - 2, where a and b are its endpoint degrees.  Per edge,
+    rhs - lhs is 2 - k + [k >= 3](k - 2) - [k = 1] for e1 and
+    k - 1 - [k >= 3](k - 1) - [k = 2] for e2.  Both are 0 for every k >= 1.
+    At k = 0, the pair (1, 1) of an isolated edge, they are 2 and -1."""
     return [b.check(rec) for b in BOUNDS["epsilon-identities"]]
 
 
-def _is_path_or_cycle(s: EdgeStats) -> bool:
-    return is_path_graph(s) or is_cycle_graph(s)
+# the endpoint-degree pairs on which both lower bounds are tight
+_LOWER_ZERO_PAIRS = frozenset({(1, 2), (2, 2)})
+
+
+def _path_or_cycle(s: EdgeStats) -> bool:
+    """Connected, with every edge in ``_LOWER_ZERO_PAIRS``: a path on at
+    least 3 vertices, a cycle, or K1."""
+    return s.components == 1 and s.endpoint_degree_counts.keys() <= _LOWER_ZERO_PAIRS
 
 
 @_group("so-lower", Bound(
     "so-lower",
     lambda r: (r.so, SO_LOWER_COEFF * (3 * r.m1 - 4 * r.graph.m + 2 * math.sqrt(10) * r.graph.m)),
-    "lower", _has_isolated_edge, _is_path_or_cycle,
+    "lower", _has_isolated_edge, _path_or_cycle,
 ))
 def check_so_lower_bound(rec: GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     sombor(G) >= (1/3)(2*sqrt2 - sqrt5)(3*M1 - 4m + 2*sqrt10*m),
-    with equality iff G is a path or a cycle."""
+    with equality iff every edge joins degrees (1, 2) or (2, 2), that is
+    iff every component is a path on at least 3 vertices, a cycle or a
+    single vertex.  The class reported as a match is the connected one, a
+    path or a cycle; a disconnected equality graph is an anomaly.
+
+    Proof.  With c = (2 sqrt2 - sqrt5)/3, the slack is the sum over edges of
+    g(a, b), where a <= b are the edge's endpoint degrees:
+
+        g(a, b) = sqrt(a^2 + b^2) - c(3(a + b) - 4 + 2 sqrt10).
+
+    Since sqrt(a^2 + b^2) >= (a + b)/sqrt2, and
+    4(1/sqrt2 - 3c) = c(2 sqrt10 - 4) = 4 sqrt5 - 6 sqrt2 > 0,
+
+        g(a, b) >= (1/sqrt2 - 3c)(a + b - 4),
+
+    which is positive when a + b >= 5.  Of the pairs with a + b <= 4,
+    (1, 2) and (2, 2) give 0 exactly, since c(5 + 2 sqrt10) = sqrt5 and
+    c(8 + 2 sqrt10) = 2 sqrt2, and (1, 3) gives sqrt10 - 2 sqrt2 > 0.  The
+    last, (1, 1), gives 3 sqrt2 - 2 sqrt5 < 0; it is an isolated edge,
+    which the hypothesis excludes."""
     return BOUNDS["so-lower"][0].check(rec)
 
 
 @_group("so-red-lower", Bound(
     "so-red-lower",
     lambda r: (r.so_red, SO_RED_LOWER_COEFF * (r.m1 - 2 * r.graph.m + math.sqrt(2) * r.graph.m)),
-    "lower", _has_isolated_edge, _is_path_or_cycle,
+    "lower", _has_isolated_edge, _path_or_cycle,
 ))
 def check_so_red_lower_bound(rec: GraphRecord) -> BoundReport:
     """For graphs without isolated edges:
     reduced_sombor(G) >= (sqrt2 - 1)(M1 - 2m + sqrt2*m),
-    with equality iff G is a path or a cycle."""
+    with the equality graphs and the reported class of
+    ``check_so_lower_bound``.
+
+    Proof.  The slack is the sum over edges of
+
+        g(a, b) = sqrt((a-1)^2 + (b-1)^2) - (sqrt2 - 1)(a + b - 2 + sqrt2)
+                >= (a + b - 2)/sqrt2 - (sqrt2 - 1)(a + b - 2 + sqrt2)
+                 = (1 - 1/sqrt2)(a + b - 4),
+
+    which is positive when a + b >= 5.  The pairs (1, 2) and (2, 2) give 0,
+    (1, 3) gives 2 - sqrt2, and (1, 1) gives -(2 - sqrt2): that is why
+    isolated edges are excluded."""
     return BOUNDS["so-red-lower"][0].check(rec)
+
+
+def _equal_degree_ends(s: EdgeStats) -> bool:
+    return all(i == j for i, j in s.endpoint_degree_counts)
+
+
+def _leaf_end(s: EdgeStats) -> bool:
+    # each pair (i, j) has i <= j
+    return all(i == 1 for i, _ in s.endpoint_degree_counts)
 
 
 @_group(
@@ -350,15 +401,15 @@ def check_so_red_lower_bound(rec: GraphRecord) -> BoundReport:
     Bound("zagreb-so-upper", lambda r: (r.so, r.m1), "strict", _edgeless),
     Bound(
         "zagreb-so-lower", lambda r: (r.so, r.m1 / math.sqrt(2)),
-        "lower", _edgeless, all_edges_join_equal_degrees,
+        "lower", _edgeless, _equal_degree_ends,
     ),
     Bound(
         "zagreb-so-red-upper", lambda r: (r.so_red, r.m1 - 2 * r.graph.m),
-        "upper", _edgeless, every_edge_has_leaf_endpoint,
+        "upper", _edgeless, _leaf_end,
     ),
     Bound(
         "zagreb-so-red-lower", lambda r: (r.so_red, (r.m1 - 2 * r.graph.m) / math.sqrt(2)),
-        "lower", _edgeless, all_edges_join_equal_degrees,
+        "lower", _edgeless, _equal_degree_ends,
     ),
 )
 def check_zagreb_sandwich(rec: GraphRecord) -> list[BoundReport]:
@@ -368,7 +419,22 @@ def check_zagreb_sandwich(rec: GraphRecord) -> list[BoundReport]:
         SO >= M1 / sqrt2      (equality iff every edge joins equal degrees)
         SO_red <= M1 - 2m     (equality iff every edge has a leaf endpoint)
         SO_red >= (M1-2m)/sqrt2  (equality iff every edge joins equal degrees)
-    """
+
+    Proof.  Each slack is a sum over edges of a term in the endpoint
+    degrees a <= b.  For x, y >= 0, comparing squares gives
+
+        sqrt(x^2 + y^2) >= (x + y)/sqrt2, with equality iff x = y,
+        sqrt(x^2 + y^2) <= x + y, with equality iff xy = 0.
+
+    The first, at (a, b) and at (a - 1, b - 1), proves the two lower rows,
+    with equality iff a = b.  The second at (a - 1, b - 1) proves the
+    reduced upper row, with equality iff a = 1.  For the strict row,
+
+        a + b - sqrt(a^2 + b^2) = 2ab/(a + b + sqrt(a^2 + b^2)) >= 2 - sqrt2,
+
+    since the left side grows with a and with b (its partial derivatives
+    are 1 - a/sqrt(a^2 + b^2) > 0 and 1 - b/sqrt(a^2 + b^2) > 0) and is
+    2 - sqrt2 at (1, 1)."""
     return [b.check(rec) for b in BOUNDS["zagreb-sandwich"]]
 
 

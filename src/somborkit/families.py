@@ -7,9 +7,11 @@ maximizes both the Sombor and the reduced Sombor index, and
 ``max_sombor_value`` / ``max_reduced_sombor_value`` give those maxima in
 closed form.
 
-Each membership test takes a profile, the ``EdgeStats`` of
-``graphs.edge_stats``, and decides from it alone, with no edge walk or
-search.
+The two membership tests, ``is_star_plus_isolated`` and ``is_h_graph``,
+are the ones the bound rows and the extremal search call.  Each takes a
+profile, the ``EdgeStats`` of ``graphs.edge_stats``, and decides from it
+alone, with no edge walk or search.  The other bound rows' equality
+classes are rules on the endpoint-degree pairs and live in ``bounds``.
 """
 
 from __future__ import annotations
@@ -116,15 +118,6 @@ FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
 # -- membership tests, decided from the degree profile ----------------------
 
 
-def is_path_graph(s: EdgeStats) -> bool:
-    return s.components == 1 and s.m == s.n - 1 and all(d <= 2 for d in s.degrees)
-
-
-def is_cycle_graph(s: EdgeStats) -> bool:
-    """Connected and 2-regular, which forces n >= 3 and m == n."""
-    return s.components == 1 and all(d == 2 for d in s.degrees)
-
-
 def is_star_plus_isolated(s: EdgeStats) -> bool:
     """True iff the graph is a star with m edges plus isolated vertices:
     every edge joins degrees 1 and m.  Two vertices of degree m >= 2 would
@@ -156,14 +149,3 @@ def is_h_graph(s: EdgeStats) -> bool:
     if not 0 <= nu <= s.n - 2:
         return False
     return tuple(sorted(s.degrees, reverse=True)) == h_degree_sequence(s.n, nu)
-
-
-def all_edges_join_equal_degrees(s: EdgeStats) -> bool:
-    """True iff every edge joins two vertices of the same degree
-    (equivalently: every component is regular)."""
-    return all(i == j for i, j in s.endpoint_degree_counts)
-
-
-def every_edge_has_leaf_endpoint(s: EdgeStats) -> bool:
-    """True iff every edge has an endpoint of degree 1."""
-    return all(i == 1 for i, _ in s.endpoint_degree_counts)

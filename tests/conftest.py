@@ -6,8 +6,8 @@ degree-constrained backtrack over vertex bijections, labeled graph
 counts from binomials and the component-of-vertex-1 recurrence, and
 isomorphism ground truth from networkx.  The graph helpers that only
 tests need (degree sequence, maximum degree, cyclomatic number, vertex
-deletion, regularity) live here too, not in the package, with a counter of
-the calls of a ``graphs`` function.
+deletion, and the path, cycle and regularity tests) live here too, not in
+the package, with a counter of the calls of a ``graphs`` function.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ def delete_vertex(g: Graph, v: int) -> Graph:
         if u != v
     )
     return Graph(g.n - 1, rows, g.m - g.rows[v].bit_count())
+
+
+def is_path_graph(s: EdgeStats) -> bool:
+    return s.components == 1 and s.m == s.n - 1 and all(d <= 2 for d in s.degrees)
+
+
+def is_cycle_graph(s: EdgeStats) -> bool:
+    """Connected and 2-regular, which forces n >= 3 and m == n."""
+    return s.components == 1 and all(d == 2 for d in s.degrees)
 
 
 def is_regular(s: EdgeStats) -> bool:

@@ -25,8 +25,6 @@ from somborkit.enumeration import canonical_form, extremal_search
 from somborkit.families import (
     h_degree_sequence,
     h_graph,
-    is_cycle_graph,
-    is_path_graph,
     is_star_plus_isolated,
     max_reduced_sombor_value,
     max_sombor_value,
@@ -35,7 +33,14 @@ from somborkit.families import (
 from somborkit.graphs import edge_stats, encode_graph6, parse_graph6
 from somborkit.indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
-from conftest import degree_sequence, delete_vertex, is_regular, max_degree
+from conftest import (
+    degree_sequence,
+    delete_vertex,
+    is_cycle_graph,
+    is_path_graph,
+    is_regular,
+    max_degree,
+)
 from majorization import Relation, compare, hypotenuse_term, karamata_compare
 
 

@@ -23,14 +23,10 @@ from somborkit.bounds import (
     run_suite,
 )
 from somborkit.families import (
-    all_edges_join_equal_degrees,
     cycle,
     empty_graph,
-    every_edge_has_leaf_endpoint,
     h_graph,
-    is_cycle_graph,
     is_h_graph,
-    is_path_graph,
     is_star_plus_isolated,
     path,
     star,
@@ -45,7 +41,7 @@ from somborkit.graphs import (
     parse_graph6,
 )
 
-from conftest import count_calls
+from conftest import count_calls, is_cycle_graph, is_path_graph
 
 K2 = graph_from_edges(2, [(0, 1)])
 
@@ -219,6 +215,28 @@ def test_lower_bound_anomalies_on_disconnected_equality_cases():
     assert r.equality and r.anomaly
 
 
+def test_anomalies_are_exactly_the_disconnected_lower_bound_equality_graphs(full_universe):
+    """Over all 1,252 classes with n <= 7, the suite's anomalies are exactly
+    so-lower and so-red-lower on the disconnected graphs with maximum degree
+    at most 2 and no K2 component, edgeless ones included: 36 each."""
+    graphs = [g for n in range(1, 8) for g in full_universe[n]]
+    summary = run_suite(map(GraphRecord, graphs))
+
+    def attains_lower_bounds(g):
+        deg = g.degrees()
+        return all(d <= 2 for d in deg) and all(deg[u] + deg[v] > 2 for u, v in g.edges())
+
+    expected = {
+        (bound_id, encode_graph6(g))
+        for g in graphs
+        if component_count(g) > 1 and attains_lower_bounds(g)
+        for bound_id in ("so-lower", "so-red-lower")
+    }
+    assert len(graphs) == 1252 and len(expected) == 72
+    assert len(summary.anomalies) == 72
+    assert {(r.bound_id, r.graph6) for r in summary.anomalies} == expected
+
+
 def test_zagreb_sandwich():
     by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(cycle(5)))}
     assert all(r.holds for r in by_id.values())
@@ -238,6 +256,86 @@ def test_zagreb_sandwich():
     by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(K2))}
     assert all(r.holds for r in by_id.values())
     assert by_id["zagreb-so-red-upper"].equality  # 0 = 0 on a lone edge
+
+
+def _per_edge_terms():
+    """Each float per-edge row's term g(a, b) as a Decimal in the current
+    context, with its zero set and the pairs its hypothesis excludes, as
+    proved in the rows' docstrings."""
+    d = decimal.Decimal
+    r2, r5, r10 = d(2).sqrt(), d(5).sqrt(), d(10).sqrt()
+    c = (2 * r2 - r5) / 3
+
+    def hyp(x, y):
+        return d(x * x + y * y).sqrt()
+
+    def lower_zero(a, b):
+        return (a, b) in ((1, 2), (2, 2))
+
+    return {
+        "so-lower": (
+            lambda a, b: hyp(a, b) - c * (3 * (a + b) - 4 + 2 * r10), lower_zero, {(1, 1)},
+        ),
+        "so-red-lower": (
+            lambda a, b: hyp(a - 1, b - 1) - (r2 - 1) * (a + b - 2 + r2), lower_zero, {(1, 1)},
+        ),
+        "zagreb-so-upper": (lambda a, b: a + b - hyp(a, b), lambda a, b: False, set()),
+        "zagreb-so-lower": (lambda a, b: hyp(a, b) - (a + b) / r2, lambda a, b: a == b, set()),
+        "zagreb-so-red-upper": (
+            lambda a, b: a + b - 2 - hyp(a - 1, b - 1), lambda a, b: a == 1, set(),
+        ),
+        "zagreb-so-red-lower": (
+            lambda a, b: hyp(a - 1, b - 1) - (a + b - 2) / r2, lambda a, b: a == b, set(),
+        ),
+    }
+
+
+def _identity_terms(a, b):
+    """rhs - lhs of the two epsilon identities on an edge whose endpoints
+    have degrees a and b."""
+    k = a + b - 2
+    return (
+        2 - k + (k - 2) * (k >= 3) - (k == 1),
+        k - 1 - (k - 1) * (k >= 3) - (k == 2),
+    )
+
+
+def test_per_edge_rows_are_proved_at_50_digits():
+    """The proofs in the per-edge rows' docstrings, pair by pair: for
+    1 <= a <= b <= 200 at 50 digits, each float row's term is positive off
+    its zero set and its excluded pairs and vanishes on the zero set, where
+    it is negative on an excluded pair; each identity's term vanishes on
+    every pair but (1, 1).  The terms sum to the rows' own slack."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        terms = _per_edge_terms()
+        eps = decimal.Decimal("1e-45")
+        for bound_id, (g, zero, excluded) in terms.items():
+            for b in range(1, 201):
+                for a in range(1, b + 1):
+                    value = g(a, b)
+                    if (a, b) in excluded:
+                        assert value < -eps, (bound_id, a, b)
+                    elif zero(a, b):
+                        assert abs(value) < eps, (bound_id, a, b)
+                    else:
+                        assert value > eps, (bound_id, a, b)
+    for b in range(1, 201):
+        for a in range(1, b + 1):
+            assert _identity_terms(a, b) == ((2, -1) if (a, b) == (1, 1) else (0, 0))
+
+    rows = {b.id: b for group in bounds.BOUNDS.values() for b in group}
+    zagreb_ids = {b.id for b in bounds.BOUNDS["zagreb-sandwich"]}
+    assert set(terms) == {"so-lower", "so-red-lower"} | zagreb_ids
+    for g in (path(6), cycle(5), star(5), h_graph(7, 3), parse_graph6("DJ{")):
+        rec = GraphRecord(g)
+        pairs = rec.stats.endpoint_degree_counts.items()
+        for bound_id, (term, _, _) in terms.items():
+            r = rows[bound_id].check(rec)
+            slack = math.fsum(c * float(term(a, b)) for (a, b), c in pairs)
+            assert math.isclose(r.slack, slack, rel_tol=1e-12, abs_tol=1e-9), (bound_id, g)
+        for k, bound_id in enumerate(("epsilon1-identity", "epsilon2-identity")):
+            slack = sum(c * _identity_terms(a, b)[k] for (a, b), c in pairs)
+            assert rows[bound_id].check(rec).slack == slack, (bound_id, g)
 
 
 def suite(graphs, bounds=None):
@@ -526,7 +624,7 @@ def _random_graph(rng: random.Random, kind: int):
 
 def _reference_reports(g) -> list[tuple]:
     """The whole suite for one graph from per-edge sums, as
-    (bound_id, lhs, rhs, lower, strict, vacuous, class predicate)."""
+    (bound_id, lhs, rhs, lower, strict, vacuous, in the equality class)."""
     n, m = g.n, g.m
     deg = g.degrees()
     edges = list(g.edges())
@@ -543,28 +641,30 @@ def _reference_reports(g) -> list[tuple]:
     high_2 = sum(c * (k - 2) for k, c in by_edge_degree.items() if k >= 3)
     high_1 = sum(c * (k - 1) for k, c in by_edge_degree.items() if k >= 3)
     cap = m1 - 2 * m
-    path_or_cycle = lambda h: is_path_graph(h) or is_cycle_graph(h)  # noqa: E731
+    stats = edge_stats(g)
+    star = is_star_plus_isolated(stats)
+    path_or_cycle = is_path_graph(stats) or is_cycle_graph(stats)
+    equal_ends = all(deg[u] == deg[v] for u, v in edges)
+    leaf_end = all(1 in (deg[u], deg[v]) for u, v in edges)
     return [
-        ("so-shifted-upper", so_shifted, m * math.sqrt((m + 1) ** 2 + 4), 0, 0, 0,
-         is_star_plus_isolated),
-        ("so-red-upper", so_red, m * (m - 1), 0, 0, 0, is_star_plus_isolated),
+        ("so-shifted-upper", so_shifted, m * math.sqrt((m + 1) ** 2 + 4), 0, 0, 0, star),
+        ("so-red-upper", so_red, m * (m - 1), 0, 0, 0, star),
         ("tree-so-red-upper", so_red, (n - 1) * (n - 2), 0, 0,
-         not (components == 1 and m == n - 1), is_star_plus_isolated),
+         not (components == 1 and m == n - 1), star),
         ("degree-sum-upper", sum(math.hypot(a, deg[v]) for v in range(n) if v != hub),
          (n - nu - 2) * math.sqrt(a * a + 1) + nu * math.sqrt(a * a + 4)
          + math.sqrt(a * a + (nu + 1) ** 2), 0, 0, not (max(deg) == a and nu <= n - 2),
-         is_h_graph),
-        ("epsilon1-identity", by_edge_degree[1], 4 * m - m1 + high_2, 0, 0, not no_k2, None),
-        ("epsilon2-identity", by_edge_degree[2], m1 - 3 * m - high_1, 0, 0, not no_k2, None),
+         is_h_graph(stats)),
+        ("epsilon1-identity", by_edge_degree[1], 4 * m - m1 + high_2, 0, 0, not no_k2, False),
+        ("epsilon2-identity", by_edge_degree[2], m1 - 3 * m - high_1, 0, 0, not no_k2, False),
         ("so-lower", so, bounds.SO_LOWER_COEFF * (3 * m1 - 4 * m + 2 * math.sqrt(10) * m),
          1, 0, not no_k2, path_or_cycle),
         ("so-red-lower", so_red, bounds.SO_RED_LOWER_COEFF * (m1 - 2 * m + math.sqrt(2) * m),
          1, 0, not no_k2, path_or_cycle),
-        ("zagreb-so-upper", so, m1, 0, 1, m == 0, None),
-        ("zagreb-so-lower", so, m1 / math.sqrt(2), 1, 0, m == 0, all_edges_join_equal_degrees),
-        ("zagreb-so-red-upper", so_red, cap, 0, 0, m == 0, every_edge_has_leaf_endpoint),
-        ("zagreb-so-red-lower", so_red, cap / math.sqrt(2), 1, 0, m == 0,
-         all_edges_join_equal_degrees),
+        ("zagreb-so-upper", so, m1, 0, 1, m == 0, False),
+        ("zagreb-so-lower", so, m1 / math.sqrt(2), 1, 0, m == 0, equal_ends),
+        ("zagreb-so-red-upper", so_red, cap, 0, 0, m == 0, leaf_end),
+        ("zagreb-so-red-lower", so_red, cap / math.sqrt(2), 1, 0, m == 0, equal_ends),
     ]  # fmt: skip
 
 
@@ -578,7 +678,7 @@ def test_run_suite_matches_per_edge_reference():
     assert len(reports) == 12 * len(sample)
     live = Counter()
     for i, g in enumerate(sample):
-        for r, (bound_id, lhs, rhs, lower, strict, vacuous, predicate) in zip(
+        for r, (bound_id, lhs, rhs, lower, strict, vacuous, in_class) in zip(
             reports[12 * i : 12 * i + 12], _reference_reports(g)
         ):
             assert r.bound_id == bound_id
@@ -592,7 +692,7 @@ def test_run_suite_matches_per_edge_reference():
             else:
                 equality = not vacuous and abs(slack) <= scale
                 holds = vacuous or (slack > scale if strict else slack >= -scale)
-            match = bool(equality and predicate is not None and predicate(edge_stats(g)))
+            match = equality and in_class
             flags = (r.holds, r.equality, r.equality_class_match, r.vacuous)
             assert flags == (holds, equality, match, bool(vacuous)), (bound_id, r.graph6)
             live[bound_id] += not vacuous

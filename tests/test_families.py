@@ -2,18 +2,15 @@ import math
 
 import pytest
 
+from somborkit.bounds import BOUNDS
 from somborkit.enumeration import all_graphs, canonical_form
 from somborkit.families import (
-    all_edges_join_equal_degrees,
     complete,
     cycle,
     empty_graph,
-    every_edge_has_leaf_endpoint,
     h_degree_sequence,
     h_graph,
-    is_cycle_graph,
     is_h_graph,
-    is_path_graph,
     is_star_plus_isolated,
     max_reduced_sombor_value,
     max_sombor_value,
@@ -29,7 +26,20 @@ from somborkit.graphs import (
 )
 from somborkit.indices import reduced_sombor, sombor
 
-from conftest import cyclomatic_number, degree_sequence, delete_vertex, is_regular
+from conftest import (
+    cyclomatic_number,
+    degree_sequence,
+    delete_vertex,
+    is_cycle_graph,
+    is_path_graph,
+    is_regular,
+)
+
+# the equality classes the bound rows decide from their degree pairs
+ROW_CLASS = {b.id: b.equality_class for rows in BOUNDS.values() for b in rows}
+path_or_cycle_pairs = ROW_CLASS["so-lower"]
+equal_degree_ends = ROW_CLASS["zagreb-so-lower"]
+leaf_end = ROW_CLASS["zagreb-so-red-upper"]
 
 
 def test_h_graph_structure():
@@ -146,11 +156,11 @@ def test_membership_predicates():
 
     assert is_regular(edge_stats(cycle(8))) and is_regular(edge_stats(complete(4)))
     assert not is_regular(edge_stats(path(3)))
-    assert all_edges_join_equal_degrees(edge_stats(cycle(5)))
+    assert equal_degree_ends(edge_stats(cycle(5)))
     k3_k2 = edge_stats(graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
-    assert all_edges_join_equal_degrees(k3_k2) and not is_regular(k3_k2)
-    assert every_edge_has_leaf_endpoint(edge_stats(star(9)))
-    assert not every_edge_has_leaf_endpoint(edge_stats(path(4)))
+    assert equal_degree_ends(k3_k2) and not is_regular(k3_k2)
+    assert leaf_end(edge_stats(star(9)))
+    assert not leaf_end(edge_stats(path(4)))
 
 
 # -- structural references: each family decided by walking the graph ---------
@@ -188,6 +198,10 @@ def _ref_h_graph(g):
     )
 
 
+def _ref_path_or_cycle_but_k2(g):
+    return (_ref_path(g) and g.n != 2) or _ref_cycle(g)
+
+
 def _ref_regular(g):
     deg = g.degrees()
     return g.n > 0 and all(d == deg[0] for d in deg)
@@ -209,8 +223,9 @@ PREDICATES = [
     (is_star_plus_isolated, _ref_star_plus_isolated),
     (is_h_graph, _ref_h_graph),
     (is_regular, _ref_regular),
-    (all_edges_join_equal_degrees, _ref_equal_degrees),
-    (every_edge_has_leaf_endpoint, _ref_leaf_endpoint),
+    (path_or_cycle_pairs, _ref_path_or_cycle_but_k2),
+    (equal_degree_ends, _ref_equal_degrees),
+    (leaf_end, _ref_leaf_endpoint),
 ]
 
 
@@ -220,8 +235,9 @@ def _levels(n):
 
 @pytest.mark.parametrize("n", range(9))
 def test_profile_tests_match_the_structural_references(n):
-    """On every class of order n, each family test gives on the graph's
-    EdgeStats the answer of the structural reference."""
+    """On every class of order n, each family test and each bound row's
+    pair rule gives on the graph's EdgeStats the answer of the structural
+    reference."""
     hits = [0] * len(PREDICATES)
     for _, level in _levels(n):
         for g in level:
