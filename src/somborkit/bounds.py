@@ -91,10 +91,6 @@ class GraphRecord:
     def m1(self) -> int:
         return first_zagreb(self.stats)
 
-    @cached_property
-    def edge_degree_counts(self) -> dict[int, int]:
-        return self.stats.edge_degree_counts
-
 
 class BoundReport(NamedTuple):
     bound_id: str
@@ -199,7 +195,7 @@ def _never(r: GraphRecord) -> bool:
 
 
 def _has_isolated_edge(r: GraphRecord) -> bool:
-    return r.stats.isolated_edges > 0
+    return (1, 1) in r.stats.endpoint_degree_counts
 
 
 def _edgeless(r: GraphRecord) -> bool:
@@ -291,16 +287,19 @@ def check_degree_sum_bound(rec: GraphRecord) -> BoundReport:
     return BOUNDS["degree-sum-upper"][0].check(rec)
 
 
+# an edge whose endpoint degrees are i and j has edge degree k = i + j - 2
 def _epsilon1_sides(r: GraphRecord) -> tuple[int, int]:
-    counts = r.edge_degree_counts
-    high_sum_2 = sum(c * (i - 2) for i, c in counts.items() if i >= 3)
-    return counts.get(1, 0), 4 * r.graph.m - r.m1 + high_sum_2
+    pairs = r.stats.endpoint_degree_counts.items()
+    e1 = sum(c for (i, j), c in pairs if i + j == 3)
+    high_sum_2 = sum(c * (i + j - 4) for (i, j), c in pairs if i + j >= 5)
+    return e1, 4 * r.graph.m - r.m1 + high_sum_2
 
 
 def _epsilon2_sides(r: GraphRecord) -> tuple[int, int]:
-    counts = r.edge_degree_counts
-    high_sum_1 = sum(c * (i - 1) for i, c in counts.items() if i >= 3)
-    return counts.get(2, 0), r.m1 - 3 * r.graph.m - high_sum_1
+    pairs = r.stats.endpoint_degree_counts.items()
+    e2 = sum(c for (i, j), c in pairs if i + j == 4)
+    high_sum_1 = sum(c * (i + j - 3) for (i, j), c in pairs if i + j >= 5)
+    return e2, r.m1 - 3 * r.graph.m - high_sum_1
 
 
 @_group(
@@ -309,15 +308,15 @@ def _epsilon2_sides(r: GraphRecord) -> tuple[int, int]:
     Bound("epsilon2-identity", _epsilon2_sides, "identity", _has_isolated_edge),
 )
 def check_epsilon_identities(rec: GraphRecord) -> list[BoundReport]:
-    """Exact integer identities for the counts of edge-degree-1 and
-    edge-degree-2 edges, valid whenever there is no isolated edge:
+    """Exact integer identities for the counts e_k of edges of edge degree
+    k = a + b - 2 (a and b the endpoint degrees), read off the pair
+    histogram, valid whenever there is no isolated edge:
 
         e1 = 4m - M1 + sum_{i>=3} e_i (i-2)
         e2 = M1 - 3m - sum_{i>=3} e_i (i-1)
 
     Proof.  Both sides are sums over edges of a term in the edge's degree
-    k = a + b - 2, where a and b are its endpoint degrees.  Per edge,
-    rhs - lhs is 2 - k + [k >= 3](k - 2) - [k = 1] for e1 and
+    k.  Per edge, rhs - lhs is 2 - k + [k >= 3](k - 2) - [k = 1] for e1 and
     k - 1 - [k >= 3](k - 1) - [k = 2] for e2.  Both are 0 for every k >= 1.
     At k = 0, the pair (1, 1) of an isolated edge, they are 2 and -1."""
     return [b.check(rec) for b in BOUNDS["epsilon-identities"]]
@@ -445,13 +444,15 @@ CHARACTERIZED_BOUNDS = frozenset(
 
 
 class SuiteSummary(NamedTuple):
+    """The tallies of a suite run; each counts reports, except ``graphs``."""
+
     graphs: int
     reports: int
     holds: int
     equality: int
     vacuous: int
-    violations: tuple[BoundReport, ...]
-    anomalies: tuple[BoundReport, ...]
+    violations: int
+    anomalies: int
 
     @property
     def ok(self) -> bool:
@@ -470,8 +471,8 @@ def run_suite(
     checked once in the order first named; None means all of them.
     Each graph's reports (one per row of the selected groups, in group
     order) are passed to ``sink`` before the next record is read, and then
-    dropped: the returned summary keeps only the tallies and the violation
-    and anomaly reports, so memory grows with the flagged reports alone.
+    dropped: the returned summary keeps only the tallies, so memory does
+    not grow with the input.
     """
     if bounds is None:
         selected = list(BOUNDS)
@@ -481,9 +482,7 @@ def run_suite(
         if unknown:
             raise ValueError(f"unknown bound group(s) {unknown}; known: {sorted(BOUNDS)}")
     rows = [b for name in selected for b in BOUNDS[name]]
-    n_graphs = n_reports = holds = equality = vacuous = 0
-    violations: list[BoundReport] = []
-    anomalies: list[BoundReport] = []
+    n_graphs = n_reports = holds = equality = vacuous = violations = anomalies = 0
     for rec in records:
         n_graphs += 1
         reports = [b.check(rec) for b in rows]
@@ -492,10 +491,8 @@ def run_suite(
             holds += r.holds and not r.vacuous
             equality += r.equality
             vacuous += r.vacuous
-            if r.violation:
-                violations.append(r)
-            if r.anomaly:
-                anomalies.append(r)
+            violations += r.violation
+            anomalies += r.anomaly
         if sink is not None:
             sink(reports)
     return SuiteSummary(
@@ -504,6 +501,6 @@ def run_suite(
         holds=holds,
         equality=equality,
         vacuous=vacuous,
-        violations=tuple(violations),
-        anomalies=tuple(anomalies),
+        violations=violations,
+        anomalies=anomalies,
     )

@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from typing import IO, TYPE_CHECKING, Iterator
 
 from .families import FAMILIES
-from .graphs import Graph6Error, encode_graph6, graph6_header, parse_graph6
+from .graphs import GRAPH6_MAX_N, Graph6Error, encode_graph6, graph6_header, parse_graph6
 from .indices import INDEX_FUNCTIONS
 
 if TYPE_CHECKING:
@@ -160,6 +160,9 @@ def cmd_construct(args) -> int:
     try:
         if len(args.params) != len(names):
             raise ValueError(f"{args.family} takes: {' '.join(names)}")
+        n = args.params[names.index("n")]
+        if n > GRAPH6_MAX_N:  # refused before a graph of n^2 bits is built
+            raise ValueError(f"graph6 encoding supported for n <= {GRAPH6_MAX_N}, got n={n}")
         g = builder(*args.params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -302,14 +305,12 @@ def cmd_verify_bounds(args) -> int:
         )
         spool.write(  # a blank line, the summary header and its tallies
             f"\n{SUMMARY_HEADER}\n{summary.graphs},{summary.reports},{summary.holds},"
-            f"{summary.equality},{summary.vacuous},{len(summary.violations)},"
-            f"{len(summary.anomalies)}\n"
+            f"{summary.equality},{summary.vacuous},{summary.violations},{summary.anomalies}\n"
         )
         _write_spooled(args.output, spool)
     if not summary.ok:
         print(
-            f"error: {len(summary.violations)} violation(s),"
-            f" {len(summary.anomalies)} anomaly(ies)",
+            f"error: {summary.violations} violation(s), {summary.anomalies} anomaly(ies)",
             file=sys.stderr,
         )
         return 1

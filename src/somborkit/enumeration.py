@@ -109,10 +109,10 @@ Generation
     order, which makes every downstream artifact deterministic regardless
     of worker count; an upper level is flipped again at each call.  With
     more than one worker, a chain level with more than four parents per
-    worker is grown in chunks by one process pool per worker count.  The
-    pool is started at the first level that needs it and reused by every
-    later level and call in the process; interpreter exit, or
-    ``shutdown_pools``, joins its workers.
+    worker is grown in chunks by one process pool per worker count, of at
+    most one process per CPU.  The pool is started at the first level that
+    needs it and reused by every later level and call in the process;
+    interpreter exit, or ``shutdown_pools``, joins its workers.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -120,13 +120,14 @@ at n = 9); canonical forms go up to n = 10.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, NamedTuple
 
-from .families import h_graph, is_h_graph, max_reduced_sombor_value, max_sombor_value
+from .families import is_h_graph, max_reduced_sombor_value, max_sombor_value
 from .graphs import Graph, edge_stats, is_connected
-from .indices import INDEX_FUNCTIONS, _is_tie, edge_sum
+from .indices import INDEX_FUNCTIONS, _is_tie
 
 CANON_MAX_N = 10
 SCOPE_MAX_N = 9
@@ -266,32 +267,27 @@ def _rows_from_key(n: int, key: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-class CanonicalForm(NamedTuple):
-    """Permutation-invariant adjacency encoding; equal iff isomorphic.
+def _graph_of_key(n: int, key: int) -> Graph:
+    """The order-n graph whose packed encoding is key."""
+    return Graph(n, _rows_from_key(n, key), key.bit_count())
 
-    ``key`` is the graph6 body of the graph in one vertex order: the
-    minimal encoding at or below the middle level (2m <= C(n,2)), the
-    flip of the complement's key above it.  Forms sort as ``(n, key)``,
-    and as a named tuple a form also equals the plain tuple ``(n, key)``.
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """Permutation-invariant ``(n, key)``; equal iff isomorphic.
+
+    ``key`` is the graph6 body of g in one vertex order: the minimal
+    encoding at or below the middle level (2m <= C(n,2)), the flip of the
+    complement's key above it.  ``_graph_of_key(n, key)`` is that graph.
     """
-
-    n: int
-    key: int
-
-    def to_graph(self) -> Graph:
-        return Graph(self.n, _rows_from_key(self.n, self.key), self.key.bit_count())
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > CANON_MAX_N:
         raise ValueError(f"canonical form capped at n <= {CANON_MAX_N}, got n={g.n}")
     n = g.n
     slots = n * (n - 1) // 2
     if 2 * g.m <= slots:
-        return CanonicalForm(n, _canonical_key(n, g.rows))
+        return n, _canonical_key(n, g.rows)
     full = (1 << n) - 1
     complement = tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows))
-    return CanonicalForm(n, (1 << slots) - 1 ^ _canonical_key(n, complement))
+    return n, (1 << slots) - 1 ^ _canonical_key(n, complement)
 
 
 def check_scope(n: int, m: int) -> None:
@@ -445,11 +441,13 @@ _pools: dict[int, ProcessPoolExecutor] = {}
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's one pool of ``workers`` workers, started on first use.
-    Interpreter exit joins its workers."""
+    """The process's one pool for ``workers``, started on first use with
+    at most one worker per CPU: a forked pool starts all of its workers at
+    the first task.  Interpreter exit joins its workers."""
     pool = _pools.get(workers)
     if pool is None:
-        pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+        size = min(workers, os.cpu_count() or 1)
+        pool = _pools[workers] = ProcessPoolExecutor(max_workers=size)
     return pool
 
 
@@ -513,7 +511,7 @@ def all_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
     """One canonical representative per isomorphism class of (n, m)-graphs,
     in ascending canonical order."""
     check_scope(n, m)
-    return [CanonicalForm(n, key).to_graph() for key in _level(n, m, workers)]
+    return [_graph_of_key(n, key) for key in _level(n, m, workers)]
 
 
 def connected_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
@@ -521,7 +519,7 @@ def connected_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
     check_scope(n, m)
     if 2 * m > n * (n - 1) // 2:
         return [g for g in all_graphs(n, m, workers=workers) if is_connected(g)]
-    return [CanonicalForm(n, key).to_graph() for key in _chain(n, m, True, workers)]
+    return [_graph_of_key(n, key) for key in _chain(n, m, True, workers)]
 
 
 # the maximum of each named index over a cell, attained by h_graph(n, nu)
@@ -536,8 +534,8 @@ class ExtremalReport(NamedTuple):
 
     ``confirms_h`` is the verdict on the cell: the maximizer is unique,
     ``is_h_graph`` accepts it, and ``max_value`` ties the closed form
-    under ``indices._is_tie`` (for a callable term, the term's value on
-    h_graph); every graph whose value ties ``max_value`` is a maximizer.
+    under ``indices._is_tie``; every graph whose value ties ``max_value``
+    is a maximizer.
     Two more checks follow from it: h_graph has a dominating vertex, and
     a unique maximizer whose runner-up gap is at most ``UNIQUENESS_GAP``
     raises ``AmbiguousMaximumError`` instead.
@@ -554,31 +552,19 @@ class ExtremalReport(NamedTuple):
     confirms_h: bool
 
 
-def extremal_search(
-    n: int,
-    nu: int,
-    index: str | Callable[[int, int], float] = "so",
-    workers: int = 1,
-) -> ExtremalReport:
+def extremal_search(n: int, nu: int, index: str = "so", workers: int = 1) -> ExtremalReport:
     """Exact maximum of an index over connected graphs with n vertices and
     cyclomatic number nu (edge count n-1+nu).
 
-    ``index`` is "so", "sored", or a symmetric edge-term function of the
-    two endpoint degrees.
+    ``index`` is a key of ``INDEX_FUNCTIONS``, and ``CLOSED_FORMS`` holds
+    its maximum over the cell under the same key.
     """
     if not 0 <= nu <= n - 2:
         raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
-    if callable(index):
-        term = index
-        value_of = lambda s: edge_sum(s, term)  # noqa: E731
-        label = getattr(index, "__name__", "custom")
-        expected = value_of(edge_stats(h_graph(n, nu)))
-    else:
-        if index not in INDEX_FUNCTIONS:
-            raise ValueError(f"unknown index {index!r} (one of {sorted(INDEX_FUNCTIONS)})")
-        value_of = INDEX_FUNCTIONS[index]
-        label = index
-        expected = CLOSED_FORMS[index](n, nu)
+    if index not in INDEX_FUNCTIONS:
+        raise ValueError(f"unknown index {index!r} (one of {sorted(INDEX_FUNCTIONS)})")
+    value_of = INDEX_FUNCTIONS[index]
+    expected = CLOSED_FORMS[index](n, nu)
     universe = connected_graphs(n, n - 1 + nu, workers=workers)
     # each class is profiled once; the first profile of greatest value is
     # kept, as it is the maximizer's when that is unique
@@ -594,14 +580,14 @@ def extremal_search(
     unique = len(maximizers) == 1
     if unique and runner_up_gap <= UNIQUENESS_GAP:
         raise AmbiguousMaximumError(
-            f"n={n}, nu={nu}, index={label}: runner-up gap {runner_up_gap:.3e} "
+            f"n={n}, nu={nu}, index={index}: runner-up gap {runner_up_gap:.3e} "
             f"is below {UNIQUENESS_GAP:.0e}; refusing to claim a unique maximizer"
         )
     confirms_h = unique and is_h_graph(top) and _is_tie(expected, max_value)
     return ExtremalReport(
         n=n,
         nu=nu,
-        index=label,
+        index=index,
         universe_size=len(universe),
         max_value=max_value,
         maximizers=maximizers,

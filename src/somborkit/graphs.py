@@ -55,9 +55,6 @@ class Graph(NamedTuple):
     rows: tuple[int, ...]
     m: int
 
-    def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v, in ascending order."""
         for u in range(self.n):
@@ -134,9 +131,10 @@ class EdgeStats(NamedTuple):
     """Degree profile: everything the indices, bounds and family tests read.
 
     ``endpoint_degree_counts[(i, j)]`` with i <= j counts edges whose
-    endpoint degrees are {i, j}; it sums to m.  ``degrees[v]`` is the
-    degree of vertex v and ``components`` the number of connected
-    components.  The other counts are derived from these.
+    endpoint degrees are {i, j}; it sums to m, and holds only nonzero
+    counts.  ``degrees[v]`` is the degree of vertex v and ``components``
+    the number of connected components; n, m and nu are derived from
+    these.
     """
 
     endpoint_degree_counts: dict[tuple[int, int], int]
@@ -156,20 +154,6 @@ class EdgeStats(NamedTuple):
         """Cyclomatic number, the count of independent cycles:
         m - n + components."""
         return self.m - self.n + self.components
-
-    @property
-    def edge_degree_counts(self) -> dict[int, int]:
-        """``[k]`` counts edges uv with deg(u) + deg(v) - 2 = k (the degree
-        of uv in the line graph)."""
-        counts: dict[int, int] = {}
-        for (i, j), c in self.endpoint_degree_counts.items():
-            counts[i + j - 2] = counts.get(i + j - 2, 0) + c
-        return counts
-
-    @property
-    def isolated_edges(self) -> int:
-        """Count of edges of edge-degree 0, i.e. K2 components."""
-        return self.endpoint_degree_counts.get((1, 1), 0)
 
 
 def edge_stats(g: Graph) -> EdgeStats:

@@ -1,10 +1,9 @@
 """Degree-based graph indices: Sombor family and first Zagreb.
 
 Every index here is a function of the degree profile alone, so each one
-reads the ``EdgeStats`` of ``graphs.edge_stats`` -- built in one pass over
-the edges -- and never walks the edges itself.  Each function takes a
-graph or its profile; a caller that needs several indices builds the
-profile once and passes it to each.
+takes the ``EdgeStats`` of ``graphs.edge_stats`` -- built in one pass over
+the edges -- and never walks the edges itself.  A caller that needs
+several indices builds the profile once and passes it to each.
 
 ``edge_sum`` is the one engine: it sums a symmetric edge term over the
 histogram of endpoint-degree pairs {i, j}.  The three Sombor indices are
@@ -14,8 +13,8 @@ histogram of endpoint-degree pairs {i, j}.  The three Sombor indices are
     reduced_sombor  sqrt((i-1)^2 + (j-1)^2)
     sombor_shifted  sqrt((i+1)^2 + (j+1)^2)
 
-The shifted terms stay private: every public function here takes a graph
-or its profile, which ``perfbench/spans.py`` relies on when it wraps them.
+The shifted terms stay private: every public function here takes a
+profile, which ``perfbench/spans.py`` relies on when it wraps them.
 Sums are taken with ``math.fsum``, which rounds the exact sum once; the
 result depends only on the histogram, so isomorphic graphs get
 bit-identical values whatever their vertex labels.  ``first_zagreb`` is
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .graphs import EdgeStats, Graph, edge_stats
+from .graphs import EdgeStats
 
 _TIE_TOL = 1e-9
 
@@ -46,19 +45,19 @@ def _is_tie(a: float, b: float) -> bool:
     return abs(a - b) <= _TIE_TOL * max(1.0, abs(b))
 
 
-def _profile(g: Graph | EdgeStats) -> EdgeStats:
-    if g.n < 1:
+def _defined(s: EdgeStats) -> EdgeStats:
+    if s.n < 1:
         raise ValueError("index undefined on the order-0 graph")
-    return g if isinstance(g, EdgeStats) else edge_stats(g)
+    return s
 
 
-def edge_sum(g: Graph | EdgeStats, term: Callable[[int, int], float]) -> float:
-    """Sum term(deg u, deg v) over the edges of g.
+def edge_sum(s: EdgeStats, term: Callable[[int, int], float]) -> float:
+    """Sum term(deg u, deg v) over the edges of the profiled graph.
 
     ``term`` must be symmetric in its two arguments; it is evaluated once
     per distinct endpoint-degree pair.
     """
-    pairs = _profile(g).endpoint_degree_counts.items()
+    pairs = _defined(s).endpoint_degree_counts.items()
     return math.fsum(c * term(i, j) for (i, j), c in pairs)
 
 
@@ -70,24 +69,24 @@ def _shifted_term(i: int, j: int) -> float:
     return math.hypot(i + 1, j + 1)
 
 
-def sombor(g: Graph | EdgeStats) -> float:
-    return edge_sum(g, math.hypot)
+def sombor(s: EdgeStats) -> float:
+    return edge_sum(s, math.hypot)
 
 
-def reduced_sombor(g: Graph | EdgeStats) -> float:
-    return edge_sum(g, _reduced_term)
+def reduced_sombor(s: EdgeStats) -> float:
+    return edge_sum(s, _reduced_term)
 
 
-def sombor_shifted(g: Graph | EdgeStats) -> float:
-    return edge_sum(g, _shifted_term)
+def sombor_shifted(s: EdgeStats) -> float:
+    return edge_sum(s, _shifted_term)
 
 
-INDEX_FUNCTIONS: dict[str, Callable[[Graph | EdgeStats], float]] = {
+INDEX_FUNCTIONS: dict[str, Callable[[EdgeStats], float]] = {
     "so": sombor,
     "sored": reduced_sombor,
 }
 
 
-def first_zagreb(g: Graph | EdgeStats) -> int:
+def first_zagreb(s: EdgeStats) -> int:
     """Sum of squared vertex degrees, computed exactly in integers."""
-    return sum(d * d for d in _profile(g).degrees)
+    return sum(d * d for d in _defined(s).degrees)

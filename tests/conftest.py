@@ -5,9 +5,9 @@ generation code paths: automorphism counts come from a plain
 degree-constrained backtrack over vertex bijections, labeled graph
 counts from binomials and the component-of-vertex-1 recurrence, and
 isomorphism ground truth from networkx.  The graph helpers that only
-tests need (degree sequence, maximum degree, cyclomatic number, vertex
-deletion, and the path, cycle and regularity tests) live here too, not in
-the package, with a counter of the calls of a ``graphs`` function.
+tests need (degrees, degree sequence, maximum degree, cyclomatic number,
+vertex deletion, and the path, cycle and regularity tests) live here too,
+not in the package, with a counter of the calls of a ``graphs`` function.
 """
 
 from __future__ import annotations
@@ -25,15 +25,20 @@ from somborkit import graphs
 from somborkit.graphs import EdgeStats, Graph, edge_stats, graph_from_edges
 
 
+def degrees(g: Graph) -> list[int]:
+    """The degree of each vertex, in vertex order."""
+    return [r.bit_count() for r in g.rows]
+
+
 def degree_sequence(g: Graph) -> tuple[int, ...]:
     """Vertex degrees sorted non-increasingly; sums to 2m."""
-    return tuple(sorted(g.degrees(), reverse=True))
+    return tuple(sorted(degrees(g), reverse=True))
 
 
 def max_degree(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("max_degree undefined on the empty graph")
-    return max(g.degrees())
+    return max(degrees(g))
 
 
 def cyclomatic_number(g: Graph) -> int:
@@ -114,7 +119,7 @@ def aut_count(g: Graph) -> int:
     """Automorphism count by degree-constrained backtracking (independent
     of the package's canonical labeling)."""
     n, rows = g.n, g.rows
-    deg = g.degrees()
+    deg = degrees(g)
     candidates = [[w for w in range(n) if deg[w] == deg[v]] for v in range(n)]
     assigned = [0] * n
     used = [False] * n

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import to_nx
+from conftest import degrees, to_nx
 
 import somborkit
 from somborkit import cli, enumeration
@@ -126,7 +126,7 @@ def test_construct(capsys):
     assert rc == 0 and out.strip() == encode_graph6(star(4))
 
     rc, out, _ = run(capsys, ["construct", "star_plus_isolated", "3", "6"])
-    assert rc == 0 and parse_graph6(out.strip()).degrees().count(0) == 2
+    assert rc == 0 and degrees(parse_graph6(out.strip())).count(0) == 2
 
 
 def test_construct_range_error(capsys):
@@ -150,6 +150,19 @@ def test_construct_builds_every_family_with_its_arity(kind, capsys):
         rc, out, err = run(capsys, ["construct", kind, *map(str, wrong)])
         assert rc == 2 and out == ""
         assert err == f"error: {kind} takes: {' '.join(names)}\n" + CONSTRUCT_USAGE
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_construct_refuses_an_order_graph6_cannot_hold_before_building(kind, monkeypatch, capsys):
+    """An order above ``GRAPH6_MAX_N`` is refused with the usage line, and
+    the builder, whose graph would take n^2 bits, is never called."""
+    names = FAMILIES[kind][1]
+    calls = []
+    monkeypatch.setitem(FAMILIES, kind, (lambda *params: calls.append(params), names))
+    params = [{"n": 3000, "nu": 2, "m": 3}[name] for name in names]
+    rc, out, err = run(capsys, ["construct", kind, *map(str, params)])
+    assert (rc, out, calls) == (2, "", [])
+    assert err == "error: graph6 encoding supported for n <= 64, got n=3000\n" + CONSTRUCT_USAGE
 
 
 def test_level_options_are_exclusive(capsys):
@@ -674,8 +687,9 @@ def test_compute_row_matches_the_generic_writer(full_universe):
         for g in universe:
             rec = GraphRecord(g)
             nu = g.m - g.n + nx.number_connected_components(to_nx(g))
-            values = [rec.graph6, n, g.m, nu, sombor(g), reduced_sombor(g), sombor_shifted(g)]
-            assert cli._compute_row(rec) == _reference_line([*values, float(first_zagreb(g))])
+            s = rec.stats
+            values = [rec.graph6, n, g.m, nu, sombor(s), reduced_sombor(s), sombor_shifted(s)]
+            assert cli._compute_row(rec) == _reference_line([*values, float(first_zagreb(s))])
 
 
 @pytest.mark.parametrize("index", ["so", "sored"])

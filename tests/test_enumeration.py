@@ -14,7 +14,6 @@ from somborkit import enumeration
 from somborkit.cli import main
 from somborkit.enumeration import (
     AmbiguousMaximumError,
-    CanonicalForm,
     all_graphs,
     canonical_form,
     connected_graphs,
@@ -24,14 +23,17 @@ from somborkit.families import complete, cycle, h_graph, max_sombor_value, path,
 from somborkit.graphs import (
     Graph,
     _graph6_from_body,
+    edge_stats,
     encode_graph6,
     graph_from_edges,
     is_connected,
 )
+from somborkit.indices import edge_sum
 
 from conftest import (
     aut_count,
     count_calls,
+    degrees,
     graph_from_mask,
     graphs_strategy,
     labeled_connected_count,
@@ -58,7 +60,7 @@ def test_canonical_invariance_all_perms_of_p4():
 def test_canonical_distinguishes():
     assert canonical_form(P4) != canonical_form(S4)
     assert canonical_form(P4) != canonical_form(cycle(4))
-    assert canonical_form(P4).to_graph().m == 3
+    assert enumeration._graph_of_key(*canonical_form(P4)).m == 3
 
 
 @given(graphs_strategy(max_n=7), st.data())
@@ -79,7 +81,7 @@ def test_canonical_matches_networkx_isomorphism(g1, g2):
 def test_canonical_round_trip():
     for g in all_graphs(5, 5):
         form = canonical_form(g)
-        assert canonical_form(form.to_graph()) == form
+        assert canonical_form(enumeration._graph_of_key(*form)) == form
 
 
 def test_canonical_cap():
@@ -216,7 +218,7 @@ def test_tree_counts_match_a000055(monkeypatch):
         keys = enumeration._chain(n, n - 1, True)
         assert len(keys) == count, n
         for key in keys:
-            g = CanonicalForm(n, key).to_graph()
+            g = enumeration._graph_of_key(n, key)
             assert g.m == n - 1 and is_connected(g), (n, key)
     assert calls < 4_000
 
@@ -255,18 +257,18 @@ def _unfiltered_levels(n):
     """Canonical keys of every level of order n, each level grown from the
     one below by canonicalizing every one-edge extension of every class:
     no edge filter, no orbit pruning and no complements."""
-    levels = [{canonical_form(Graph(n, (0,) * n, 0)).key}]
+    levels = [{canonical_form(Graph(n, (0,) * n, 0))[1]}]
     for m in range(1, n * (n - 1) // 2 + 1):
         level = set()
         for key in levels[-1]:
-            rows = CanonicalForm(n, key).to_graph().rows
+            rows = enumeration._rows_from_key(n, key)
             for u in range(n):
                 for v in range(u + 1, n):
                     if not rows[u] >> v & 1:
                         grown = list(rows)
                         grown[u] |= 1 << v
                         grown[v] |= 1 << u
-                        level.add(canonical_form(Graph(n, tuple(grown), m)).key)
+                        level.add(canonical_form(Graph(n, tuple(grown), m))[1])
         levels.append(level)
     return levels
 
@@ -299,7 +301,7 @@ def _reference_children(n, rows, cyclic):
         ):
             continue
         child = graph_from_edges(n, [*edges, (u, v)])
-        deg = child.degrees()
+        deg = degrees(child)
         nbrs = [[w for w in range(n) if child.rows[x] >> w & 1] for x in range(n)]
 
         def rank(x, y):
@@ -350,13 +352,13 @@ def test_child_filter_matches_its_definition(monkeypatch):
             if cyclic and m < n:
                 continue
             for key in enumeration._chain(n, m - 1, cyclic):
-                rows = CanonicalForm(n, key).to_graph().rows
+                rows = enumeration._rows_from_key(n, key)
                 handed.clear()
                 enumeration._children_of_chunk((n, (key,), cyclic))
                 assert sorted(handed) == _reference_children(n, rows, cyclic), (n, m, cyclic, key)
     for n in range(2, 10):
         for key in enumeration._chain(n - 1, n - 2, True):
-            rows = CanonicalForm(n - 1, key).to_graph().rows
+            rows = enumeration._rows_from_key(n - 1, key)
             handed.clear()
             enumeration._trees_of_chunk((n, (key,)))
             assert sorted(handed) == _reference_trees(n, rows), (n, key)
@@ -437,7 +439,7 @@ def test_canonical_form_matches_reference():
     discrete = 0
     by_order = {}
     for g in cases:
-        key = canonical_form(g).key
+        key = canonical_form(g)[1]
         slots = g.n * (g.n - 1) // 2
         if 2 * g.m <= slots:
             bits = _reference_canonical_bits(g.n, g.rows)
@@ -461,8 +463,8 @@ def test_graph6_of_a_key_is_the_encoded_graph():
     for n in range(9):
         for m in range(n * (n - 1) // 2 + 1):
             for key in enumeration._level(n, m):
-                form = CanonicalForm(n, key)
-                assert _graph6_from_body(n, key) == encode_graph6(form.to_graph())
+                graph = enumeration._graph_of_key(n, key)
+                assert _graph6_from_body(n, key) == encode_graph6(graph)
 
 
 def _backtrack_nodes(g):
@@ -645,7 +647,7 @@ def test_canonical_form_of_an_upper_graph_flips_its_complement():
                 for h in (g, relabel(g, perm)):
                     co = _complement(h)
                     assert 2 * co.m <= slots
-                    assert canonical_form(h).key == (1 << slots) - 1 ^ canonical_form(co).key
+                    assert canonical_form(h)[1] == (1 << slots) - 1 ^ canonical_form(co)[1]
 
 
 def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
@@ -669,13 +671,38 @@ def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
     assert pooled_with == [2, 2, 2]
 
 
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    """A forked pool starts all of its workers at the first task, so a
+    pool for 1,000 workers holds one per CPU.  A fake executor records the
+    size asked for and runs the chunks in this process: no worker starts."""
+    sizes = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(enumeration, "_pools", {})
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    parts = enumeration._map_chunks(lambda args: len(args[1]), 9, tuple(range(4_001)), 1_000)
+    assert sum(parts) == 4_001 and len(parts) > 1
+    assert sizes == [3]
+    assert enumeration._pool(1_000) is enumeration._pools[1_000]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    enumeration._pool(2)
+    assert sizes == [3, 1]
+
+
 def test_extremal_search_5_2():
     report = extremal_search(5, 2, "so")
     assert report.unique and report.universe_size == 5
     assert canonical_form(report.maximizers[0]) == canonical_form(h_graph(5, 2))
     assert report.max_value == pytest.approx(max_sombor_value(5, 2), rel=1e-12)
     assert report.runner_up_gap > 1e-6
-    assert max(report.maximizers[0].degrees()) == 4
+    assert max(degrees(report.maximizers[0])) == 4
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -691,40 +718,54 @@ def test_extremal_search_reduced_7_5():
     assert canonical_form(report.maximizers[0]) == canonical_form(h_graph(7, 5))
 
 
-def test_extremal_search_constant_term_ties():
+def _register_term(monkeypatch, name, term):
+    """Enter the symmetric edge term ``term`` as the index ``name``, with
+    its value on h_graph as the closed form, for one test."""
+    monkeypatch.setitem(enumeration.INDEX_FUNCTIONS, name, lambda s: edge_sum(s, term))
+    monkeypatch.setitem(
+        enumeration.CLOSED_FORMS, name, lambda n, nu: edge_sum(edge_stats(h_graph(n, nu)), term)
+    )
+
+
+def test_extremal_search_constant_term_ties(monkeypatch):
     # with the constant edge term every connected class scores m, so the
     # search must refuse to call any single graph the winner
-    report = extremal_search(5, 1, lambda a, b: 1.0)
+    _register_term(monkeypatch, "one", lambda a, b: 1.0)
+    report = extremal_search(5, 1, "one")
     assert not report.unique
     assert report.universe_size == len(report.maximizers) == 5
     assert report.runner_up_gap == math.inf
 
 
-def test_extremal_search_refuses_hairline_gaps():
+def test_extremal_search_refuses_hairline_gaps(monkeypatch):
     # the (4, 0) universe is {P4, S4}; this term separates them by 9e-7,
     # too wide to merge as a tie and too narrow to certify uniqueness
     def term(a, b):
         return 1.0 + (3e-7 if (a == 1 and b == 3) or (a == 3 and b == 1) else 0.0)
 
+    _register_term(monkeypatch, "hairline", term)
     with pytest.raises(AmbiguousMaximumError):
-        extremal_search(4, 0, term)
+        extremal_search(4, 0, "hairline")
 
 
 def test_extremal_search_decides_the_cell(monkeypatch):
     """``confirms_h`` needs a unique maximizer that is h_graph and a
     maximum equal to the closed form (the term's value on h_graph for a
-    callable term)."""
+    term entered by ``_register_term``)."""
     assert extremal_search(6, 2, "so").confirms_h
     assert extremal_search(6, 2, "sored").confirms_h
-    assert extremal_search(6, 2, math.hypot).confirms_h
+    _register_term(monkeypatch, "hypot", math.hypot)
+    assert extremal_search(6, 2, "hypot").confirms_h
 
     # -SO is maximized by the path alone among trees: unique, but not h_graph
-    report = extremal_search(5, 0, lambda a, b: -math.hypot(a, b))
+    _register_term(monkeypatch, "minus_so", lambda a, b: -math.hypot(a, b))
+    report = extremal_search(5, 0, "minus_so")
     assert report.unique and not report.confirms_h
     assert canonical_form(report.maximizers[0]) == canonical_form(path(5))
 
     # a constant term ties every class: no unique maximizer
-    assert not extremal_search(5, 1, lambda a, b: 1.0).confirms_h
+    _register_term(monkeypatch, "one", lambda a, b: 1.0)
+    assert not extremal_search(5, 1, "one").confirms_h
 
     # h_graph is the unique maximizer, but the closed form is off by one
     monkeypatch.setitem(
@@ -765,5 +806,5 @@ def test_scope_caps():
 
 def test_canonical_forms_are_ordered_types():
     forms = sorted(canonical_form(g) for g in all_graphs(4, 3))
-    assert isinstance(forms[0], CanonicalForm)
+    assert type(forms[0]) is tuple and forms[0] == (4, forms[0][1])
     assert forms[0] < forms[-1]

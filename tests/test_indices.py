@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somborkit.families import complete, cycle, h_graph, path, star, star_plus_isolated
-from somborkit.graphs import edge_stats, graph_from_edges
+from somborkit.graphs import EdgeStats, edge_stats, graph_from_edges
 from somborkit.indices import (
     edge_sum,
     first_zagreb,
@@ -15,49 +15,50 @@ from somborkit.indices import (
     sombor_shifted,
 )
 
-from conftest import delete_vertex, graphs_strategy, relabel
+from conftest import degrees, delete_vertex, graphs_strategy, relabel
 
 K2 = graph_from_edges(2, [(0, 1)])
 
 
 def test_sombor_values():
-    assert sombor(cycle(7)) == pytest.approx(7 * 2 * math.sqrt(2), rel=1e-12)
-    assert sombor(star(4)) == pytest.approx(3 * math.sqrt(10), rel=1e-12)
+    assert sombor(edge_stats(cycle(7))) == pytest.approx(7 * 2 * math.sqrt(2), rel=1e-12)
+    assert sombor(edge_stats(star(4))) == pytest.approx(3 * math.sqrt(10), rel=1e-12)
     # six edges of h_graph(5, 2), enumerated by hand:
     # (4,3) (4,2) (4,2) (4,1) (3,2) (3,2)
     expected = math.sqrt(17) + 2 * math.sqrt(20) + 5 + 2 * math.sqrt(13)
-    assert sombor(h_graph(5, 2)) == pytest.approx(expected, rel=1e-12)
+    assert sombor(edge_stats(h_graph(5, 2))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_reduced_sombor_values():
-    assert reduced_sombor(K2) == 0.0
-    assert reduced_sombor(star(6)) == pytest.approx(5 * 4, rel=1e-12)
+    assert reduced_sombor(edge_stats(K2)) == 0.0
+    assert reduced_sombor(edge_stats(star(6))) == pytest.approx(5 * 4, rel=1e-12)
     expected = 3 + 2 * math.sqrt(10) + 2 * math.sqrt(5) + math.sqrt(13)
-    assert reduced_sombor(h_graph(5, 2)) == pytest.approx(expected, rel=1e-12)
+    assert reduced_sombor(edge_stats(h_graph(5, 2))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sombor_shifted_values():
-    assert sombor_shifted(K2) == pytest.approx(math.sqrt(8), rel=1e-12)
+    assert sombor_shifted(edge_stats(K2)) == pytest.approx(math.sqrt(8), rel=1e-12)
     # star with 2 edges plus an isolated vertex attains m*sqrt((m+1)^2+4)
-    g = star_plus_isolated(2, 4)
-    assert sombor_shifted(g) == pytest.approx(2 * math.sqrt(13), rel=1e-12)
-    assert sombor_shifted(g) == pytest.approx(g.m * math.sqrt((g.m + 1) ** 2 + 4), rel=1e-12)
+    s = edge_stats(star_plus_isolated(2, 4))
+    assert sombor_shifted(s) == pytest.approx(2 * math.sqrt(13), rel=1e-12)
+    assert sombor_shifted(s) == pytest.approx(s.m * math.sqrt((s.m + 1) ** 2 + 4), rel=1e-12)
     # P4 edges (1,2),(2,2),(2,1) shift to (2,3),(3,3),(3,2)
-    assert sombor_shifted(path(4)) == pytest.approx(2 * math.sqrt(13) + math.sqrt(18), rel=1e-12)
+    expected = 2 * math.sqrt(13) + math.sqrt(18)
+    assert sombor_shifted(edge_stats(path(4))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_first_zagreb_values():
-    assert first_zagreb(path(4)) == 10
-    assert first_zagreb(cycle(9)) == 36
-    assert first_zagreb(complete(5)) == 5 * 16
-    assert isinstance(first_zagreb(path(4)), int)
+    assert first_zagreb(edge_stats(path(4))) == 10
+    assert first_zagreb(edge_stats(cycle(9))) == 36
+    assert first_zagreb(edge_stats(complete(5))) == 5 * 16
+    assert isinstance(first_zagreb(edge_stats(path(4))), int)
 
 
 def test_edge_sum_engine():
-    g = h_graph(6, 3)
-    assert edge_sum(g, math.hypot) == pytest.approx(sombor(g), rel=1e-15)
-    assert edge_sum(path(4), lambda a, b: a + b) == 10
-    assert edge_sum(g, lambda a, b: 1) == g.m
+    s = edge_stats(h_graph(6, 3))
+    assert edge_sum(s, math.hypot) == pytest.approx(sombor(s), rel=1e-15)
+    assert edge_sum(edge_stats(path(4)), lambda a, b: a + b) == 10
+    assert edge_sum(s, lambda a, b: 1) == s.m
 
 
 def test_sombor_family_is_label_invariant():
@@ -83,41 +84,41 @@ def test_sombor_family_is_label_invariant():
     for g, perm in cases:
         h = relabel(g, perm)
         for fn in (sombor, reduced_sombor, sombor_shifted):
-            assert fn(h) == fn(g), (fn.__name__, g.n, perm)
+            assert fn(edge_stats(h)) == fn(edge_stats(g)), (fn.__name__, g.n, perm)
 
 
 def test_indices_accept_a_profile():
-    g = h_graph(7, 3)
-    stats = edge_stats(g)
-    for fn in (sombor, reduced_sombor, sombor_shifted, first_zagreb):
-        assert fn(stats) == fn(g)
-    assert edge_sum(stats, math.hypot) == sombor(g)
+    # the profile of the star K1,3, written out: no graph is needed
+    stats = EdgeStats({(1, 3): 3}, (3, 1, 1, 1), 1)
+    assert stats == edge_stats(star(4))
+    values = [fn(stats) for fn in (sombor, reduced_sombor, sombor_shifted, first_zagreb)]
+    assert values == [3 * math.hypot(1, 3), 6.0, 3 * math.hypot(2, 4), 12]
 
 
 def test_indices_reject_order_zero():
-    g0 = graph_from_edges(0, [])
+    s0 = edge_stats(graph_from_edges(0, []))
     for fn in (sombor, reduced_sombor, sombor_shifted, first_zagreb):
         with pytest.raises(ValueError):
-            fn(g0)
+            fn(s0)
     with pytest.raises(ValueError):
-        edge_sum(g0, math.hypot)
+        edge_sum(s0, math.hypot)
 
 
 @given(graphs_strategy())
 def test_zero_iff_edgeless(g):
     for fn in (sombor, sombor_shifted, first_zagreb):
-        assert (fn(g) == 0) == (g.m == 0)
+        assert (fn(edge_stats(g)) == 0) == (g.m == 0)
     # reduced Sombor vanishes exactly when every edge joins two leaves
-    deg = g.degrees()
+    deg = degrees(g)
     all_leaf_edges = all(deg[u] == 1 and deg[v] == 1 for u, v in g.edges())
-    assert (reduced_sombor(g) == 0) == all_leaf_edges
+    assert (reduced_sombor(edge_stats(g)) == 0) == all_leaf_edges
 
 
 @given(graphs_strategy())
 def test_first_zagreb_both_formulas_agree(g):
-    deg = g.degrees()
-    assert first_zagreb(g) == sum(d * d for d in deg)
-    assert first_zagreb(g) == sum(deg[u] + deg[v] for u, v in g.edges())
+    deg = degrees(g)
+    assert first_zagreb(edge_stats(g)) == sum(d * d for d in deg)
+    assert first_zagreb(edge_stats(g)) == sum(deg[u] + deg[v] for u, v in g.edges())
 
 
 @given(graphs_strategy(min_n=2), st.data())
@@ -133,8 +134,8 @@ def test_edge_addition_strictly_increases(g, data):
         return
     u, v = data.draw(st.sampled_from(non_edges))
     bigger = graph_from_edges(g.n, list(g.edges()) + [(u, v)])
-    assert sombor(bigger) > sombor(g)
-    assert first_zagreb(bigger) > first_zagreb(g)
+    assert sombor(edge_stats(bigger)) > sombor(edge_stats(g))
+    assert first_zagreb(edge_stats(bigger)) > first_zagreb(edge_stats(g))
 
 
 @given(graphs_strategy(min_n=1))
@@ -142,15 +143,16 @@ def test_edge_addition_strictly_increases(g, data):
 def test_zagreb_sandwich(g):
     if g.m == 0:
         return
-    m1 = first_zagreb(g)
-    so = sombor(g)
+    s = edge_stats(g)
+    m1 = first_zagreb(s)
+    so = sombor(s)
     assert m1 > so + 1e-9
     assert so >= m1 / math.sqrt(2) - 1e-9 * m1
-    so_red = reduced_sombor(g)
+    so_red = reduced_sombor(s)
     cap = m1 - 2 * g.m
     assert so_red <= cap + 1e-9 * max(1, cap)
     assert so_red >= cap / math.sqrt(2) - 1e-9 * max(1, cap)
-    deg = g.degrees()
+    deg = degrees(g)
     if any(deg[u] >= 2 and deg[v] >= 2 for u, v in g.edges()):
         assert cap - so_red > 1e-9
 
@@ -158,17 +160,17 @@ def test_zagreb_sandwich(g):
 def test_reduced_cap_equality_on_stars():
     # every edge of a star has a leaf endpoint, so the reduced index
     # meets M1 - 2m exactly (the strict form fails here)
-    g = star(4)
-    assert reduced_sombor(g) == pytest.approx(first_zagreb(g) - 2 * g.m, rel=1e-12)
+    s = edge_stats(star(4))
+    assert reduced_sombor(s) == pytest.approx(first_zagreb(s) - 2 * s.m, rel=1e-12)
 
 
 @given(graphs_strategy(min_n=2, max_n=7))
 @settings(max_examples=100)
 def test_hub_decomposition(g):
-    deg = g.degrees()
+    deg = degrees(g)
     if max(deg) != g.n - 1:
         return
     hub = deg.index(g.n - 1)
     hub_part = sum(math.hypot(g.n - 1, deg[v]) for v in range(g.n) if v != hub)
-    total = hub_part + sombor_shifted(delete_vertex(g, hub))
-    assert sombor(g) == pytest.approx(total, rel=1e-9)
+    total = hub_part + sombor_shifted(edge_stats(delete_vertex(g, hub)))
+    assert sombor(edge_stats(g)) == pytest.approx(total, rel=1e-9)
