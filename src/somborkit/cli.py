@@ -12,18 +12,19 @@ output regardless of --workers.  Exit status is 0 only when no violation,
 anomaly, parse error, or cap breach occurred; a file that cannot be
 opened prints its error and exits 2.
 
-Every CSV line is built by one typed f-string per row kind and written
-to a spool, an unnamed temporary file in TMPDIR, as it is decided: a
-``compute`` or ``verify-bounds`` row as its graph is read and checked,
-one graph at a time, so that memory does not grow with the input, and a
-``verify-extremal`` row as its cell is decided.  Only once the whole run
-has been checked is the spool copied to the output; a malformed line or
-an ambiguous cell prints only its error, and ``--output FILE`` is then
-not created.  ``enumerate`` and ``verify-extremal`` check every requested
+Every CSV line is built by one typed f-string per row kind.  A
+``compute`` or ``verify-bounds`` row is written to a spool, an unnamed
+temporary file in TMPDIR, as its graph is read and checked, one graph at
+a time, so that memory does not grow with the input.  Only once the
+whole input has been checked is the spool copied to the output; a
+malformed line prints only its error, and ``--output FILE`` is then not
+created.  ``enumerate`` and ``verify-extremal`` check every requested
 level before building any, and refuse a request that selects none.
-``enumerate`` writes a level's graph6 lines in one write as soon as the
-level is built; a generated universe reaches ``compute`` and
-``verify-bounds`` through a pipe
+Past that check nothing in them can fail, so they write to the output
+directly: ``enumerate`` a level's graph6 lines in one write as soon as
+the level is built, and ``verify-extremal`` a cell's row as soon as the
+cell is decided, the header with the first row.  A generated universe
+reaches ``compute`` and ``verify-bounds`` through a pipe
 (``somborkit enumerate --n 1..7 | somborkit verify-bounds``).
 ``verify-extremal`` prints the verdict ``extremal_search`` gives each
 cell and builds no verdict of its own.
@@ -239,17 +240,14 @@ def cmd_verify_extremal(args) -> int:
 
     cells = [(n, m - n + 1) for n, ms in _levels(args, cells=True) for m in ms]
     failures = 0
-    with _spool() as spool:
-        print(EXTREMAL_HEADER, file=spool)
+    # as in enumerate, nothing is written before the first cell is decided
+    head = EXTREMAL_HEADER + "\n"
+    with _open_output(args.output) as out:
         for n, nu in cells:
-            try:
-                report = enumeration.extremal_search(n, nu, args.index, workers=args.workers)
-            except enumeration.AmbiguousMaximumError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            spool.write(_extremal_row(report))
+            report = enumeration.extremal_search(n, nu, args.index, workers=args.workers)
+            out.write(head + _extremal_row(report))
+            head = ""
             failures += not report.confirms_h
-        _write_spooled(args.output, spool)
     if failures:
         print(
             f"error: {failures} cell(s) do not confirm h_graph(n, nu) as the unique"

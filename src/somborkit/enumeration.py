@@ -108,11 +108,19 @@ Generation
     the chain of all graphs, as tuples of keys in ascending canonical
     order, which makes every downstream artifact deterministic regardless
     of worker count; an upper level is flipped again at each call.  With
-    more than one worker, a chain level with more than four parents per
-    worker is grown in chunks by one process pool per worker count, of at
-    most one process per CPU.  The pool is started at the first level that
-    needs it and reused by every later level and call in the process;
-    interpreter exit, or ``shutdown_pools``, joins its workers.
+    more than one worker, a chain level is grown in the process pool of
+    min(workers, CPU count) workers, in four chunks per pool worker, once
+    it has more than four parents per pool worker.  Each pool size has one
+    pool, started at the first level that needs it and reused by every
+    later level and call in the process; interpreter exit, or
+    ``shutdown_pools``, joins its workers.
+
+Extremal search
+    ``extremal_search`` profiles every connected class of a cell once and
+    decides its maximizers, and their match with the closed form, by
+    ``indices._is_tie`` alone.  The docstring of that rule proves it sound
+    for ``so`` and ``sored``: a unique maximizer is the one exact
+    maximizer, and no exact tie is missed.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -132,14 +140,7 @@ from .indices import INDEX_FUNCTIONS, _is_tie
 CANON_MAX_N = 10
 SCOPE_MAX_N = 9
 
-UNIQUENESS_GAP = 1e-6
-
 _HUGE = 1 << 70  # larger than any (n-1)-bit row encoding
-
-
-class AmbiguousMaximumError(RuntimeError):
-    """A single maximizer was found but the runner-up gap is too small to
-    distinguish from a float tie; the run refuses to claim uniqueness."""
 
 
 def _wl_partition(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -440,14 +441,12 @@ _level_cache: dict[tuple[int, int, bool], tuple[int, ...]] = {}
 _pools: dict[int, ProcessPoolExecutor] = {}
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's one pool for ``workers``, started on first use with
-    at most one worker per CPU: a forked pool starts all of its workers at
-    the first task.  Interpreter exit joins its workers."""
-    pool = _pools.get(workers)
+def _pool(size: int) -> ProcessPoolExecutor:
+    """The process's one pool of ``size`` workers, started on first use.
+    Interpreter exit joins its workers."""
+    pool = _pools.get(size)
     if pool is None:
-        size = min(workers, os.cpu_count() or 1)
-        pool = _pools[workers] = ProcessPoolExecutor(max_workers=size)
+        pool = _pools[size] = ProcessPoolExecutor(max_workers=size)
     return pool
 
 
@@ -460,16 +459,19 @@ def shutdown_pools() -> None:
 
 
 def _map_chunks(fn: Callable, n: int, keys: tuple[int, ...], workers: int, *flags: bool) -> list:
-    """``fn((n, chunk, *flags))`` over chunks of ``keys``, in the pool when
-    there are more than four keys per worker, else one call in this
-    process."""
-    if workers > 1 and len(keys) > 4 * workers:
-        step = (len(keys) + 4 * workers - 1) // (4 * workers)
+    """``fn((n, chunk, *flags))`` in the pool of min(workers, CPU count)
+    workers, over four chunks of ``keys`` per pool worker, when ``workers``
+    > 1 and there are more than four keys per pool worker; else one call
+    in this process.  A forked pool starts all of its workers at the first
+    task, hence the cap."""
+    size = min(workers, os.cpu_count() or 1)
+    if workers > 1 and len(keys) > 4 * size:
+        step = (len(keys) + 4 * size - 1) // (4 * size)
         chunks = [(n, keys[i : i + step], *flags) for i in range(0, len(keys), step)]
         try:
-            return list(_pool(workers).map(fn, chunks))
+            return list(_pool(size).map(fn, chunks))
         except BrokenProcessPool:
-            del _pools[workers]  # the next call starts a fresh pool
+            del _pools[size]  # the next call starts a fresh pool
             raise
     return [fn((n, keys, *flags))]
 
@@ -535,15 +537,14 @@ class ExtremalReport(NamedTuple):
     ``confirms_h`` is the verdict on the cell: the maximizer is unique,
     ``is_h_graph`` accepts it, and ``max_value`` ties the closed form
     under ``indices._is_tie``; every graph whose value ties ``max_value``
-    is a maximizer.
-    Two more checks follow from it: h_graph has a dominating vertex, and
-    a unique maximizer whose runner-up gap is at most ``UNIQUENESS_GAP``
-    raises ``AmbiguousMaximumError`` instead.
+    is a maximizer.  For ``so`` and ``sored`` a unique maximizer is thus
+    the one exact maximizer (see ``_is_tie``), and a second value within
+    the tie tolerance of the maximum fails the verdict.  A verdict also confirms
+    a dominating vertex, which h_graph has.
     """
 
     n: int
     nu: int
-    index: str
     universe_size: int
     max_value: float
     maximizers: tuple[Graph, ...]
@@ -578,16 +579,10 @@ def extremal_search(n: int, nu: int, index: str = "so", workers: int = 1) -> Ext
     rest = [v for v in values if not _is_tie(v, max_value)]
     runner_up_gap = max_value - max(rest) if rest else float("inf")
     unique = len(maximizers) == 1
-    if unique and runner_up_gap <= UNIQUENESS_GAP:
-        raise AmbiguousMaximumError(
-            f"n={n}, nu={nu}, index={index}: runner-up gap {runner_up_gap:.3e} "
-            f"is below {UNIQUENESS_GAP:.0e}; refusing to claim a unique maximizer"
-        )
     confirms_h = unique and is_h_graph(top) and _is_tie(expected, max_value)
     return ExtremalReport(
         n=n,
         nu=nu,
-        index=index,
         universe_size=len(universe),
         max_value=max_value,
         maximizers=maximizers,

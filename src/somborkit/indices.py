@@ -26,7 +26,8 @@ endpoint-degree sums over edges).
 
 ``_is_tie`` is the one rule by which a float comparison of index values
 counts as a tie: the extremal search uses it for maximizer ties and the
-closed-form match, and ``bounds.Bound.check`` for equality.
+closed-form match, and ``bounds.Bound.check`` for equality.  Its
+docstring proves it sound for the Sombor indices.
 """
 
 from __future__ import annotations
@@ -41,7 +42,37 @@ _TIE_TOL = 1e-9
 
 def _is_tie(a: float, b: float) -> bool:
     """Whether a and b differ by at most ``_TIE_TOL`` relative to b (absolute
-    when |b| < 1)."""
+    when |b| < 1).
+
+    For the Sombor indices this rule is sound, so the extremal search needs
+    no second one.  Every term of their sums is c * hypot(x, y), with
+    integers x, y and an edge count c >= 1.  Since Python 3.10, the oldest
+    that ``pyproject.toml`` admits, ``math.hypot`` errs by under 1 ulp, a
+    relative 2^-52.  The product rounds once, by at most 2^-53, and
+    ``math.fsum`` rounds the exact sum of the non-negative terms once, by
+    at most 2^-53.  So a computed value v of exact value v* has
+    |v - v*| <= e * v*, with e = (1 + 2^-52)(1 + 2^-53)^2 - 1 < 4.5e-16,
+    which ``_TIE_TOL`` exceeds more than 10^6 times.  Let M be the greatest
+    computed value in a cell and X* the exact maximum; M and the computed
+    value of every exact maximizer lie within e * X* of X*.
+
+    - No true tie is missed: every exact maximizer ties M, as the two
+      differ by at most 2e * X* < 1e-9 * M.
+    - ``unique`` is never claimed falsely.  A value v that does not tie M
+      has M - v > 1e-9 * M > e * (M + v), so v* < M*, the exact value of
+      the graph computed as M.  When only that graph ties M, it is the
+      one exact maximizer.
+    - The only possible error is to call a difference under 1e-9 relative
+      a tie.  The cell then has no unique maximizer, does not confirm
+      h_graph, and fails visibly (exit 1).
+
+    ``families.max_sombor_value`` and ``max_reduced_sombor_value`` round
+    each square root, product and sum once, which keeps them within
+    1e-15 of their exact values, so a maximum equal to its closed form
+    ties it.  The bound covers nothing else: a term that a test registers
+    under a name, and the right-hand side of a bound, are judged by the
+    rule without it.
+    """
     return abs(a - b) <= _TIE_TOL * max(1.0, abs(b))
 
 

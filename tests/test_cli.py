@@ -713,25 +713,25 @@ def test_verify_extremal_rows_match_the_generic_writer(index, capsys):
     assert all((r.runner_up_gap == math.inf) == (r.universe_size == 1) for r in reports)
 
 
-def test_an_ambiguous_cell_leaves_no_output(monkeypatch, tmp_path, capsys):
-    """A cell whose maximum cannot be told from a float tie stops the run
-    with its error alone: the rows of the cells before it are not written
-    and no ``--output`` file is created."""
+def test_verify_extremal_writes_each_row_before_the_next_search(monkeypatch, capsys):
+    """A cell's row reaches the output before the next cell is searched,
+    the header with the first row, and the rows are those of a plain run."""
+    argv = ["verify-extremal", "--n", "4..5"]
+    rc, expected, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
     search = enumeration.extremal_search
-    calls = []
+    written = []  # the output written since the previous search, at each search
 
-    def ambiguous_second_cell(n, nu, *args, **kwargs):
-        calls.append((n, nu))
-        if (n, nu) == (4, 1):
-            raise enumeration.AmbiguousMaximumError(f"n={n}, nu={nu}: planted tie")
+    def spy(n, nu, *args, **kwargs):
+        written.append(capsys.readouterr().out)
         return search(n, nu, *args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "extremal_search", ambiguous_second_cell)
-    dest = tmp_path / "out.csv"
-    argv = ["verify-extremal", "--n", "4..5", "--output", str(dest)]
-    assert run(capsys, argv) == (1, "", "error: n=4, nu=1: planted tie\n")
-    assert calls == [(4, 0), (4, 1)] and not dest.exists()
-    assert run(capsys, argv[:-2]) == (1, "", "error: n=4, nu=1: planted tie\n")
+    monkeypatch.setattr(enumeration, "extremal_search", spy)
+    rc, rest, err = run(capsys, argv)
+    lines = expected.splitlines(keepends=True)
+    assert len(lines) == 8  # the header and the cells (4, 0..2) and (5, 0..3)
+    assert written == ["", lines[0] + lines[1], *lines[2:-1]]
+    assert (rc, rest, err) == (0, lines[-1], "")
 
 
 def test_verify_bounds_checks_a_repeated_group_once(pipe):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from somborkit import enumeration
 from somborkit.cli import main
 from somborkit.enumeration import (
-    AmbiguousMaximumError,
     all_graphs,
     canonical_form,
     connected_graphs,
@@ -658,10 +657,11 @@ def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
     pooled_with = []
     pool = enumeration._pool
 
-    def spy(workers):
-        pooled_with.append(workers)
-        return pool(workers)
+    def spy(size):
+        pooled_with.append(size)
+        return pool(size)
 
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(enumeration, "_pool", spy)
     kept = {m: enumeration._level_cache.pop((8, m, True)) for m in (7, 8, 9)}
     try:
@@ -673,27 +673,40 @@ def test_connected_chain_through_the_pool_matches_serial(monkeypatch):
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
     """A forked pool starts all of its workers at the first task, so a
-    pool for 1,000 workers holds one per CPU.  A fake executor records the
-    size asked for and runs the chunks in this process: no worker starts."""
-    sizes = []
+    pool for 1,000 workers holds one per CPU, and a level is cut into four
+    chunks per worker of that pool.  Every request of the same capped size
+    shares one pool, and any request of more than one worker pools, even
+    on one CPU.  A fake executor records its size and chunks and runs them
+    in this process: no worker starts."""
+    sizes, chunk_lengths = [], []
 
     class FakeExecutor:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def map(self, fn, chunks):
+            chunk_lengths.append([len(chunk[1]) for chunk in chunks])
             return map(fn, chunks)
+
+    def map_chunks(keys, workers):
+        parts = enumeration._map_chunks(lambda args: len(args[1]), 9, tuple(range(keys)), workers)
+        assert sum(parts) == keys
+        return parts
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(enumeration, "_pools", {})
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    parts = enumeration._map_chunks(lambda args: len(args[1]), 9, tuple(range(4_001)), 1_000)
-    assert sum(parts) == 4_001 and len(parts) > 1
-    assert sizes == [3]
-    assert enumeration._pool(1_000) is enumeration._pools[1_000]
+    map_chunks(4_001, 1_000)
+    map_chunks(4_001, 3)
+    assert sizes == [3] and list(enumeration._pools) == [3]
+    assert chunk_lengths == [[334] * 11 + [327]] * 2
+    assert map_chunks(12, 1_000) == [12]  # four keys per pool worker: one call here
+    map_chunks(13, 1_000)
+    assert chunk_lengths[-1] == [2] * 6 + [1]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-    enumeration._pool(2)
-    assert sizes == [3, 1]
+    map_chunks(5, 2)
+    assert sizes == [3, 1] and chunk_lengths[-1] == [2, 2, 1]
+    assert map_chunks(5, 1) == [5] and len(sizes) == 2
 
 
 def test_extremal_search_5_2():
@@ -737,15 +750,25 @@ def test_extremal_search_constant_term_ties(monkeypatch):
     assert report.runner_up_gap == math.inf
 
 
-def test_extremal_search_refuses_hairline_gaps(monkeypatch):
-    # the (4, 0) universe is {P4, S4}; this term separates them by 9e-7,
-    # too wide to merge as a tie and too narrow to certify uniqueness
+@pytest.mark.parametrize("bump, unique", [(3e-7, True), (3e-10, False)], ids=["unique", "tie"])
+def test_extremal_search_decides_hairline_gaps_by_the_tie_rule(bump, unique, monkeypatch):
+    """The (4, 0) universe is {P4, S4}, worth 3 and 3 + 3 * bump under a
+    term that adds ``bump`` on the edges joining degrees 1 and 3.  A gap
+    of 9e-7 is wider than the tie tolerance (1e-9 relative, 3e-9 here), so
+    S4 is the unique maximizer; a gap of 9e-10 is a tie, so the cell has
+    no unique maximizer and does not confirm h_graph."""
+
     def term(a, b):
-        return 1.0 + (3e-7 if (a == 1 and b == 3) or (a == 3 and b == 1) else 0.0)
+        return 1.0 + (bump if {a, b} == {1, 3} else 0.0)
 
     _register_term(monkeypatch, "hairline", term)
-    with pytest.raises(AmbiguousMaximumError):
-        extremal_search(4, 0, "hairline")
+    report = extremal_search(4, 0, "hairline")
+    assert report.unique is report.confirms_h is unique
+    if unique:
+        assert report.runner_up_gap == pytest.approx(9e-7, rel=1e-6)
+        assert canonical_form(report.maximizers[0]) == canonical_form(star(4))
+    else:
+        assert report.runner_up_gap == math.inf and len(report.maximizers) == 2
 
 
 def test_extremal_search_decides_the_cell(monkeypatch):

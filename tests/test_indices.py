@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 import random
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from somborkit.enumeration import connected_graphs
 from somborkit.families import complete, cycle, h_graph, path, star, star_plus_isolated
 from somborkit.graphs import EdgeStats, edge_stats, graph_from_edges
 from somborkit.indices import (
@@ -174,3 +177,26 @@ def test_hub_decomposition(g):
     hub_part = sum(math.hypot(g.n - 1, deg[v]) for v in range(g.n) if v != hub)
     total = hub_part + sombor_shifted(edge_stats(delete_vertex(g, hub)))
     assert sombor(edge_stats(g)) == pytest.approx(total, rel=1e-9)
+
+
+def test_sombor_values_meet_the_tie_rule_error_bound():
+    """``indices._is_tie``'s docstring proves that a computed Sombor value
+    lies within e = (1 + 2^-52)(1 + 2^-53)^2 - 1 < 4.5e-16 of its exact
+    value, relative.  At 50 digits, each of the three Sombor indices meets
+    that bound on every connected class with n <= 8."""
+    d = decimal.Decimal
+    shift = {sombor: 0, reduced_sombor: -1, sombor_shifted: 1}
+    with decimal.localcontext(decimal.Context(prec=50)):
+        e = (1 + d(2) ** -52) * (1 + d(2) ** -53) ** 2 - 1
+        assert e < d("4.5e-16")
+        root = functools.cache(lambda k: d(k).sqrt())
+        classes = 0
+        for n in range(1, 9):
+            for m in range(n * (n - 1) // 2 + 1):
+                for s in map(edge_stats, connected_graphs(n, m)):
+                    classes += 1
+                    pairs = s.endpoint_degree_counts.items()
+                    for index, k in shift.items():
+                        exact = sum(c * root((i + k) ** 2 + (j + k) ** 2) for (i, j), c in pairs)
+                        assert abs(d(index(s)) - exact) <= e * exact, (n, m, index.__name__)
+    assert classes == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 11_117
