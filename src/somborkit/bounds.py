@@ -3,10 +3,10 @@
 Every bound here, and every equality class, depends only on n, m, the
 component count and the histogram of endpoint-degree pairs, which fixes
 the degrees.  So each graph is profiled once: a ``GraphRecord`` holds
-its ``EdgeStats`` (one ``edge_stats`` call), its graph6 text (the text it
-was read from, or encoded once for a generated graph) and the four index
-values, each evaluated from the profile at most once and only if a
-selected bound reads it.  Every check reads that record: the public
+its n and m, its ``EdgeStats`` (one ``edge_stats`` call), its graph6 text
+(the text it was read from, or encoded once for a generated graph) and
+the four index values, each evaluated once from the profile when the
+record is built.  Every check reads that record: the public
 ``check_*`` functions take a record, and ``run_suite`` takes records,
 checks every selected bound on each and hands the graph's reports to a
 sink before reading the next record.  Index values are ``math.fsum``
@@ -50,10 +50,9 @@ universes.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, Iterable, Literal, NamedTuple
 
-from .families import is_h_graph, is_star_plus_isolated
+from .families import hub_edge_sum, is_h_graph, is_star_plus_isolated
 from .graphs import EdgeStats, Graph, edge_stats, encode_graph6
 from .indices import _is_tie, first_zagreb, reduced_sombor, sombor, sombor_shifted
 
@@ -64,32 +63,24 @@ SO_RED_LOWER_COEFF = math.sqrt(2) - 1
 class GraphRecord:
     """What every bound reads about one graph, computed once.
 
-    ``graph6`` is the text g was read from, in standard form (short size
-    header for n <= 62); it is encoded from g when not given.  The index
-    values are computed on first use, so a bound selection that reads
-    none of them never evaluates them.
+    ``n`` and ``m`` are the graph's order and size, ``stats`` its profile
+    and ``graph6`` the text g was read from, in standard form (short size
+    header for n <= 62); it is encoded from g when not given.  ``so``,
+    ``so_red``, ``so_shifted`` and ``m1`` are the four index values,
+    evaluated from the profile here; the order-0 graph has none, since no
+    index is defined on it.
     """
 
     def __init__(self, g: Graph, graph6: str | None = None) -> None:
-        self.graph = g
-        self.stats = edge_stats(g)
+        self.n = g.n
+        self.m = g.m
+        self.stats = s = edge_stats(g)
         self.graph6 = encode_graph6(g) if graph6 is None else graph6
-
-    @cached_property
-    def so(self) -> float:
-        return sombor(self.stats)
-
-    @cached_property
-    def so_red(self) -> float:
-        return reduced_sombor(self.stats)
-
-    @cached_property
-    def so_shifted(self) -> float:
-        return sombor_shifted(self.stats)
-
-    @cached_property
-    def m1(self) -> int:
-        return first_zagreb(self.stats)
+        if g.n:
+            self.so: float = sombor(s)
+            self.so_red: float = reduced_sombor(s)
+            self.so_shifted: float = sombor_shifted(s)
+            self.m1: int = first_zagreb(s)
 
 
 class BoundReport(NamedTuple):
@@ -141,7 +132,7 @@ class Bound(NamedTuple):
         """Judge the bound on one graph.  A vacuous report keeps its real
         sides and slack, but the order-0 graph, outside every hypothesis and
         with no index defined, reads 0, 0, 0 and its sides are never called."""
-        if rec.graph.n:
+        if rec.n:
             lhs, rhs = self.sides(rec)
             vacuous = self.vacuous(rec)
         else:
@@ -199,12 +190,12 @@ def _has_isolated_edge(r: GraphRecord) -> bool:
 
 
 def _edgeless(r: GraphRecord) -> bool:
-    return r.graph.m == 0
+    return r.m == 0
 
 
 @_group("so-shifted-upper", Bound(
     "so-shifted-upper",
-    lambda r: (r.so_shifted, r.graph.m * math.sqrt((r.graph.m + 1) ** 2 + 4)),
+    lambda r: (r.so_shifted, r.m * math.sqrt((r.m + 1) ** 2 + 4)),
     "upper", _never, is_star_plus_isolated,
 ))
 def check_so_shifted_upper(rec: GraphRecord) -> BoundReport:
@@ -214,7 +205,7 @@ def check_so_shifted_upper(rec: GraphRecord) -> BoundReport:
 
 
 @_group("so-red-upper", Bound(
-    "so-red-upper", lambda r: (r.so_red, r.graph.m * (r.graph.m - 1)),
+    "so-red-upper", lambda r: (r.so_red, r.m * (r.m - 1)),
     "upper", _never, is_star_plus_isolated,
 ))
 def check_so_red_upper(rec: GraphRecord) -> BoundReport:
@@ -224,11 +215,11 @@ def check_so_red_upper(rec: GraphRecord) -> BoundReport:
 
 
 def _not_a_tree(r: GraphRecord) -> bool:
-    return r.stats.components != 1 or r.graph.m != r.graph.n - 1
+    return r.stats.components != 1 or r.m != r.n - 1
 
 
 @_group("tree-so-red-upper", Bound(
-    "tree-so-red-upper", lambda r: (r.so_red, (r.graph.n - 1) * (r.graph.n - 2)),
+    "tree-so-red-upper", lambda r: (r.so_red, (r.n - 1) * (r.n - 2)),
     "upper", _not_a_tree, is_star_plus_isolated,
 ))
 def check_tree_corollary(rec: GraphRecord) -> BoundReport:
@@ -239,23 +230,15 @@ def check_tree_corollary(rec: GraphRecord) -> BoundReport:
 
 
 def _degree_sum_sides(r: GraphRecord) -> tuple[float, float]:
-    n = r.graph.n
     deg = r.stats.degrees
-    nu = r.stats.nu
     hub = deg.index(max(deg))
-    a = n - 1
+    a = r.n - 1
     lhs = math.fsum(math.hypot(a, d) for v, d in enumerate(deg) if v != hub)
-    rhs = (
-        (n - nu - 2) * math.sqrt(a * a + 1)
-        + nu * math.sqrt(a * a + 4)
-        + math.sqrt(a * a + (nu + 1) ** 2)
-    )
-    return lhs, rhs
+    return lhs, hub_edge_sum(r.n, r.stats.nu)
 
 
 def _outside_degree_sum_hypothesis(r: GraphRecord) -> bool:
-    n = r.graph.n
-    return max(r.stats.degrees) != n - 1 or not 0 <= r.stats.nu <= n - 2
+    return max(r.stats.degrees) != r.n - 1 or not 0 <= r.stats.nu <= r.n - 2
 
 
 @_group("degree-sum-upper", Bound(
@@ -292,14 +275,14 @@ def _epsilon1_sides(r: GraphRecord) -> tuple[int, int]:
     pairs = r.stats.endpoint_degree_counts.items()
     e1 = sum(c for (i, j), c in pairs if i + j == 3)
     high_sum_2 = sum(c * (i + j - 4) for (i, j), c in pairs if i + j >= 5)
-    return e1, 4 * r.graph.m - r.m1 + high_sum_2
+    return e1, 4 * r.m - r.m1 + high_sum_2
 
 
 def _epsilon2_sides(r: GraphRecord) -> tuple[int, int]:
     pairs = r.stats.endpoint_degree_counts.items()
     e2 = sum(c for (i, j), c in pairs if i + j == 4)
     high_sum_1 = sum(c * (i + j - 3) for (i, j), c in pairs if i + j >= 5)
-    return e2, r.m1 - 3 * r.graph.m - high_sum_1
+    return e2, r.m1 - 3 * r.m - high_sum_1
 
 
 @_group(
@@ -334,7 +317,7 @@ def _path_or_cycle(s: EdgeStats) -> bool:
 
 @_group("so-lower", Bound(
     "so-lower",
-    lambda r: (r.so, SO_LOWER_COEFF * (3 * r.m1 - 4 * r.graph.m + 2 * math.sqrt(10) * r.graph.m)),
+    lambda r: (r.so, SO_LOWER_COEFF * (3 * r.m1 - 4 * r.m + 2 * math.sqrt(10) * r.m)),
     "lower", _has_isolated_edge, _path_or_cycle,
 ))
 def check_so_lower_bound(rec: GraphRecord) -> BoundReport:
@@ -365,7 +348,7 @@ def check_so_lower_bound(rec: GraphRecord) -> BoundReport:
 
 @_group("so-red-lower", Bound(
     "so-red-lower",
-    lambda r: (r.so_red, SO_RED_LOWER_COEFF * (r.m1 - 2 * r.graph.m + math.sqrt(2) * r.graph.m)),
+    lambda r: (r.so_red, SO_RED_LOWER_COEFF * (r.m1 - 2 * r.m + math.sqrt(2) * r.m)),
     "lower", _has_isolated_edge, _path_or_cycle,
 ))
 def check_so_red_lower_bound(rec: GraphRecord) -> BoundReport:
@@ -403,11 +386,11 @@ def _leaf_end(s: EdgeStats) -> bool:
         "lower", _edgeless, _equal_degree_ends,
     ),
     Bound(
-        "zagreb-so-red-upper", lambda r: (r.so_red, r.m1 - 2 * r.graph.m),
+        "zagreb-so-red-upper", lambda r: (r.so_red, r.m1 - 2 * r.m),
         "upper", _edgeless, _leaf_end,
     ),
     Bound(
-        "zagreb-so-red-lower", lambda r: (r.so_red, (r.m1 - 2 * r.graph.m) / math.sqrt(2)),
+        "zagreb-so-red-lower", lambda r: (r.so_red, (r.m1 - 2 * r.m) / math.sqrt(2)),
         "lower", _edgeless, _equal_degree_ends,
     ),
 )

@@ -123,10 +123,11 @@ COMPUTE_HEADER = "graph6,n,m,nu,so,so_red,so_shifted,m1"
 
 
 def _compute_row(rec: GraphRecord) -> str:
-    """A graph's CSV row, newline included (m1, an int, is written as a float)."""
-    g = rec.graph
+    """A graph's CSV row, newline included: the record's text, n, m, nu and
+    four index values (m1, an int, is written as a float).  The record must
+    have order n >= 1."""
     return (
-        f"{rec.graph6},{g.n},{g.m},{rec.stats.nu},{rec.so:.12g},{rec.so_red:.12g},"
+        f"{rec.graph6},{rec.n},{rec.m},{rec.stats.nu},{rec.so:.12g},{rec.so_red:.12g},"
         f"{rec.so_shifted:.12g},{float(rec.m1):.12g}\n"
     )
 
@@ -135,11 +136,12 @@ def cmd_compute(args) -> int:
     with _spool() as spool:
         print(COMPUTE_HEADER, file=spool)
         for lineno, rec in _input_records(args.input):
-            try:
-                spool.write(_compute_row(rec))
-            except ValueError as exc:  # the indices are undefined on the order-0 graph
-                print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            if not rec.n:
+                print(
+                    f"error: line {lineno}: index undefined on the order-0 graph", file=sys.stderr
+                )
                 return 1
+            spool.write(_compute_row(rec))
         _write_spooled(args.output, spool)
     return 0
 

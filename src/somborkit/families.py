@@ -5,7 +5,9 @@ extra edges from one fixed leaf to nu other leaves.  Among all connected
 graphs with n vertices and cyclomatic number nu (0 <= nu <= n-2) it
 maximizes both the Sombor and the reduced Sombor index, and
 ``max_sombor_value`` / ``max_reduced_sombor_value`` give those maxima in
-closed form.
+closed form.  The first adds the terms of the fixed leaf's nu extra edges
+to ``hub_edge_sum``, the terms of the hub's edges, which is also the right
+side of ``bounds``' degree-sum row.
 
 The two membership tests, ``is_star_plus_isolated`` and ``is_h_graph``,
 are the ones the bound rows and the extremal search call.  Each takes a
@@ -75,18 +77,25 @@ def h_graph(n: int, nu: int) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def max_sombor_value(n: int, nu: int) -> float:
-    """Closed form for sombor(h_graph(n, nu)): the maximum Sombor index
-    over connected graphs with n vertices and cyclomatic number nu."""
-    if n < 2 or not 0 <= nu <= n - 2:
-        raise ValueError(f"need n >= 2 and 0 <= nu <= n-2, got n={n}, nu={nu}")
+def hub_edge_sum(n: int, nu: int) -> float:
+    """The sum of sqrt((n-1)^2 + d^2) over the degrees d of h_graph(n, nu)
+    other than the hub's: the Sombor terms of the hub's n-1 edges.  It is
+    the right side of ``bounds``' degree-sum row, which evaluates it off
+    its hypothesis too, so the arguments are not checked."""
     a = n - 1
     return (
         (n - nu - 2) * math.sqrt(a * a + 1)
         + nu * math.sqrt(a * a + 4)
         + math.sqrt(a * a + (nu + 1) ** 2)
-        + nu * math.sqrt((nu + 1) ** 2 + 4)
     )
+
+
+def max_sombor_value(n: int, nu: int) -> float:
+    """Closed form for sombor(h_graph(n, nu)): the maximum Sombor index
+    over connected graphs with n vertices and cyclomatic number nu."""
+    if n < 2 or not 0 <= nu <= n - 2:
+        raise ValueError(f"need n >= 2 and 0 <= nu <= n-2, got n={n}, nu={nu}")
+    return hub_edge_sum(n, nu) + nu * math.sqrt((nu + 1) ** 2 + 4)
 
 
 def max_reduced_sombor_value(n: int, nu: int) -> float:
@@ -123,7 +132,8 @@ def is_star_plus_isolated(s: EdgeStats) -> bool:
     every edge joins degrees 1 and m.  Two vertices of degree m >= 2 would
     need 2m edges, so at most one is the hub.  Edgeless graphs qualify (the
     star part degenerates to one vertex)."""
-    return all(pair == (1, s.m) for pair in s.endpoint_degree_counts)
+    star_pair = (1, s.m)
+    return all(pair == star_pair for pair in s.endpoint_degree_counts)
 
 
 def h_degree_sequence(n: int, nu: int) -> tuple[int, ...]:

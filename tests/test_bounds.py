@@ -145,8 +145,8 @@ def test_degree_sum_lemma_fails_on_one_sequence_per_order():
             if sum(seq) % 2 or not _is_graphical(seq):
                 continue
             stats = EdgeStats({}, seq, 1)  # a dominating vertex connects the graph
-            # the row reads only n and m of the graph, which EdgeStats also gives
-            r = row.check(SimpleNamespace(graph=stats, stats=stats, graph6=""))
+            # the row reads only n and m besides the profile
+            r = row.check(SimpleNamespace(n=stats.n, m=stats.m, stats=stats, graph6=""))
             assert not r.vacuous
             judged += 1
             if r.violation:
@@ -579,6 +579,24 @@ def test_run_suite_profiles_and_encodes_each_graph_once(monkeypatch):
     assert summary.reports == 12 * len(sample)
     assert [args[0] for args in encoded] == sample
     assert [args[0] for args in profiled] == sample
+
+
+def test_run_suite_evaluates_each_index_once_per_graph(monkeypatch, full_universe):
+    """Over every class with n <= 6, each of the four indices is evaluated
+    once per graph, on its profile, and never on the order-0 graph."""
+    graphs = [graph_from_edges(0, []), *(g for n in range(1, 7) for g in full_universe[n])]
+    calls = {}
+    for name in ("sombor", "reduced_sombor", "sombor_shifted", "first_zagreb"):
+
+        def spy(s, index=getattr(bounds, name), seen=calls.setdefault(name, [])):
+            seen.append(s)
+            return index(s)
+
+        monkeypatch.setattr(bounds, name, spy)
+    _, summary = suite(graphs)
+    assert summary.graphs == len(graphs)
+    profiles = [edge_stats(g) for g in graphs[1:]]
+    assert calls == dict.fromkeys(calls, profiles)
 
 
 def test_verify_bounds_input_streams_and_never_encodes(monkeypatch, capsys):
