@@ -55,7 +55,7 @@ from typing import IO, TYPE_CHECKING, Iterator
 
 from .families import FAMILIES
 from .graphs import GRAPH6_MAX_N, Graph6Error, encode_graph6, graph6_header, parse_graph6
-from .indices import INDEX_FUNCTIONS
+from .indices import INDEX_FUNCTIONS, _defined
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, GraphRecord
@@ -136,10 +136,10 @@ def cmd_compute(args) -> int:
     with _spool() as spool:
         print(COMPUTE_HEADER, file=spool)
         for lineno, rec in _input_records(args.input):
-            if not rec.n:
-                print(
-                    f"error: line {lineno}: index undefined on the order-0 graph", file=sys.stderr
-                )
+            try:
+                _defined(rec.stats)
+            except ValueError as exc:  # the indices are undefined on the order-0 graph
+                print(f"error: line {lineno}: {exc}", file=sys.stderr)
                 return 1
             spool.write(_compute_row(rec))
         _write_spooled(args.output, spool)

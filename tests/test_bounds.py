@@ -572,31 +572,28 @@ def test_equality_census_lower_bounds(connected_universe):
 
 
 def test_run_suite_profiles_and_encodes_each_graph_once(monkeypatch):
-    sample = [K2, path(5), cycle(6), star(4), h_graph(6, 2), empty_graph(3), parse_graph6("DJ{")]
+    """Each graph is encoded and profiled once, and each of the four indices
+    is evaluated once on its profile, never on the order-0 graph."""
+    sample = [
+        empty_graph(0), K2, path(5), cycle(6), star(4), h_graph(6, 2), empty_graph(3),
+        parse_graph6("DJ{"),
+    ]
     encoded = count_calls(monkeypatch, "encode_graph6")
     profiled = count_calls(monkeypatch, "edge_stats")
-    reports, summary = suite(sample)
-    assert summary.reports == 12 * len(sample)
-    assert [args[0] for args in encoded] == sample
-    assert [args[0] for args in profiled] == sample
-
-
-def test_run_suite_evaluates_each_index_once_per_graph(monkeypatch, full_universe):
-    """Over every class with n <= 6, each of the four indices is evaluated
-    once per graph, on its profile, and never on the order-0 graph."""
-    graphs = [graph_from_edges(0, []), *(g for n in range(1, 7) for g in full_universe[n])]
-    calls = {}
+    indexed = {}
     for name in ("sombor", "reduced_sombor", "sombor_shifted", "first_zagreb"):
 
-        def spy(s, index=getattr(bounds, name), seen=calls.setdefault(name, [])):
+        def spy(s, index=getattr(bounds, name), seen=indexed.setdefault(name, [])):
             seen.append(s)
             return index(s)
 
         monkeypatch.setattr(bounds, name, spy)
-    _, summary = suite(graphs)
-    assert summary.graphs == len(graphs)
-    profiles = [edge_stats(g) for g in graphs[1:]]
-    assert calls == dict.fromkeys(calls, profiles)
+    reports, summary = suite(sample)
+    assert summary.reports == 12 * len(sample)
+    assert [args[0] for args in encoded] == sample
+    assert [args[0] for args in profiled] == sample
+    profiles = [edge_stats(g) for g in sample[1:]]
+    assert indexed == dict.fromkeys(indexed, profiles)
 
 
 def test_verify_bounds_input_streams_and_never_encodes(monkeypatch, capsys):
