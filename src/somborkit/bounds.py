@@ -36,7 +36,10 @@ g >= 0 on every pair its hypothesis admits, and its equality graphs are
 those whose pairs all lie in the zero set {g = 0}.  Each row's ``check_*``
 docstring proves this, and its equality class is a rule on the pairs.
 The global upper rows use the ``families`` tests ``is_star_plus_isolated``
-and ``is_h_graph``.
+and ``is_h_graph``.  Of them, ``so-red-upper`` and ``tree-so-red-upper``
+are proved in their docstrings for every graph, from a + b <= m + 1 on
+every edge; ``degree-sum-upper`` is refuted in its docstring, and
+``so-shifted-upper`` has no proof here yet.
 
 Hypothesis notes.  The lower bounds assume no isolated edges (no K2
 component); isolated vertices are permitted.  Their equality graphs are
@@ -210,7 +213,20 @@ def check_so_shifted_upper(rec: GraphRecord) -> BoundReport:
 ))
 def check_so_red_upper(rec: GraphRecord) -> BoundReport:
     """reduced_sombor(G) <= m(m-1); equality exactly on a star with m edges
-    plus isolated vertices."""
+    plus isolated vertices.
+
+    Proof.  Let a <= b be the endpoint degrees of an edge uv.  The other
+    edges at u and the other edges at v are a - 1 and b - 1 distinct
+    edges of the other m - 1, since an edge at both is uv itself; so
+    a + b <= m + 1.  Hence
+
+        sqrt((a-1)^2 + (b-1)^2) <= (a - 1) + (b - 1) <= m - 1.
+
+    The first step compares squares, which differ by 2(a-1)(b-1) >= 0,
+    and is tight iff a = 1; the second is tight iff a + b = m + 1.  Summed
+    over the m edges, SO_red <= m(m-1), with equality iff every pair is
+    (1, m): every edge joins a leaf to a vertex of degree m, which is
+    ``is_star_plus_isolated``.  An edgeless graph has 0 = 0 and no pair."""
     return BOUNDS["so-red-upper"][0].check(rec)
 
 
@@ -225,7 +241,13 @@ def _not_a_tree(r: GraphRecord) -> bool:
 def check_tree_corollary(rec: GraphRecord) -> BoundReport:
     """On trees: reduced_sombor(T) <= (n-1)(n-2), equality iff T is a star.
     The row is vacuous off trees, and a tree is a star iff every edge joins
-    degrees 1 and m."""
+    degrees 1 and m.
+
+    Proof.  A tree has m = n - 1 edges, so this is ``check_so_red_upper``'s
+    bound m(m-1) at m = n - 1, with its proof: each edge's term
+    sqrt((a-1)^2 + (b-1)^2) is at most (a - 1) + (b - 1) <= m - 1, because
+    the edge meets each of the other m - 1 edges at most once, so
+    a + b <= m + 1.  Equality holds iff every pair is (1, m)."""
     return BOUNDS["tree-so-red-upper"][0].check(rec)
 
 

@@ -252,8 +252,7 @@ def cmd_verify_extremal(args) -> int:
             failures += not report.confirms_h
     if failures:
         print(
-            f"error: {failures} cell(s) do not confirm h_graph(n, nu) as the unique"
-            " maximizer at its closed-form value",
+            f"error: {failures} cell(s) do not confirm h_graph(n, nu) as the unique maximizer",
             file=sys.stderr,
         )
         return 1

@@ -117,10 +117,12 @@ Generation
 
 Extremal search
     ``extremal_search`` profiles every connected class of a cell once and
-    decides its maximizers, and their match with the closed form, by
-    ``indices._is_tie`` alone.  The docstring of that rule proves it sound
-    for ``so`` and ``sored``: a unique maximizer is the one exact
-    maximizer, and no exact tie is missed.
+    decides its maximizers by ``indices._is_tie`` alone.  The docstring of
+    that rule proves it sound for ``so`` and ``sored``: a unique maximizer
+    is the one exact maximizer, and no exact tie is missed.  The cell
+    confirms h_graph when that maximizer passes ``families.is_h_graph``,
+    an exact test of its degree sequence, which only h_graph realizes; the
+    maximum is then h_graph's own computed value.
 
 Scope caps: generation covers every n <= 9 and every m (274,668 classes
 at n = 9); canonical forms go up to n = 10.
@@ -133,7 +135,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, NamedTuple
 
-from .families import is_h_graph, max_reduced_sombor_value, max_sombor_value
+from .families import is_h_graph
 from .graphs import Graph, edge_stats, is_connected
 from .indices import INDEX_FUNCTIONS, _is_tie
 
@@ -524,23 +526,16 @@ def connected_graphs(n: int, m: int, workers: int = 1) -> list[Graph]:
     return [_graph_of_key(n, key) for key in _chain(n, m, True, workers)]
 
 
-# the maximum of each named index over a cell, attained by h_graph(n, nu)
-CLOSED_FORMS: dict[str, Callable[[int, int], float]] = {
-    "so": max_sombor_value,
-    "sored": max_reduced_sombor_value,
-}
-
-
 class ExtremalReport(NamedTuple):
     """Outcome of a brute-force maximum search over one (n, nu) universe.
 
-    ``confirms_h`` is the verdict on the cell: the maximizer is unique,
-    ``is_h_graph`` accepts it, and ``max_value`` ties the closed form
-    under ``indices._is_tie``; every graph whose value ties ``max_value``
-    is a maximizer.  For ``so`` and ``sored`` a unique maximizer is thus
-    the one exact maximizer (see ``_is_tie``), and a second value within
-    the tie tolerance of the maximum fails the verdict.  A verdict also confirms
-    a dominating vertex, which h_graph has.
+    ``confirms_h`` is the verdict on the cell: the maximizer is unique and
+    ``is_h_graph`` accepts it; every graph whose value ties ``max_value``
+    under ``indices._is_tie`` is a maximizer.  For ``so`` and ``sored`` a
+    unique maximizer is thus the one exact maximizer (see ``_is_tie``),
+    and a second value within the tie tolerance of the maximum fails the
+    verdict.  A verdict also confirms a dominating vertex, which h_graph
+    has.
     """
 
     n: int
@@ -555,17 +550,13 @@ class ExtremalReport(NamedTuple):
 
 def extremal_search(n: int, nu: int, index: str = "so", workers: int = 1) -> ExtremalReport:
     """Exact maximum of an index over connected graphs with n vertices and
-    cyclomatic number nu (edge count n-1+nu).
-
-    ``index`` is a key of ``INDEX_FUNCTIONS``, and ``CLOSED_FORMS`` holds
-    its maximum over the cell under the same key.
-    """
+    cyclomatic number nu (edge count n-1+nu).  ``index`` is a key of
+    ``INDEX_FUNCTIONS``."""
     if not 0 <= nu <= n - 2:
         raise ValueError(f"need 0 <= nu <= n-2, got nu={nu}, n={n}")
     if index not in INDEX_FUNCTIONS:
         raise ValueError(f"unknown index {index!r} (one of {sorted(INDEX_FUNCTIONS)})")
     value_of = INDEX_FUNCTIONS[index]
-    expected = CLOSED_FORMS[index](n, nu)
     universe = connected_graphs(n, n - 1 + nu, workers=workers)
     # each class is profiled once; the first profile of greatest value is
     # kept, as it is the maximizer's when that is unique
@@ -579,7 +570,6 @@ def extremal_search(n: int, nu: int, index: str = "so", workers: int = 1) -> Ext
     rest = [v for v in values if not _is_tie(v, max_value)]
     runner_up_gap = max_value - max(rest) if rest else float("inf")
     unique = len(maximizers) == 1
-    confirms_h = unique and is_h_graph(top) and _is_tie(expected, max_value)
     return ExtremalReport(
         n=n,
         nu=nu,
@@ -588,5 +578,5 @@ def extremal_search(n: int, nu: int, index: str = "so", workers: int = 1) -> Ext
         maximizers=maximizers,
         runner_up_gap=runner_up_gap,
         unique=unique,
-        confirms_h=confirms_h,
+        confirms_h=unique and is_h_graph(top),
     )

@@ -1,13 +1,13 @@
-"""Named graph families, their closed-form index values, and membership tests.
+"""Named graph families, h_graph's Sombor terms, and membership tests.
 
 The central family is ``h_graph(n, nu)``: a star on n vertices plus nu
 extra edges from one fixed leaf to nu other leaves.  Among all connected
 graphs with n vertices and cyclomatic number nu (0 <= nu <= n-2) it
-maximizes both the Sombor and the reduced Sombor index, and
-``max_sombor_value`` / ``max_reduced_sombor_value`` give those maxima in
-closed form.  The first adds the terms of the fixed leaf's nu extra edges
-to ``hub_edge_sum``, the terms of the hub's edges, which is also the right
-side of ``bounds``' degree-sum row.
+maximizes both the Sombor and the reduced Sombor index.  The extremal
+search confirms a cell by ``is_h_graph`` alone, which reads no index
+value.  ``hub_edge_sum``, the Sombor terms of h_graph's hub edges, is the
+right side of ``bounds``' degree-sum row, and ``max_sombor_value`` adds to
+it the terms of the fixed leaf's nu extra edges.
 
 The two membership tests, ``is_star_plus_isolated`` and ``is_h_graph``,
 are the ones the bound rows and the extremal search call.  Each takes a
@@ -92,23 +92,12 @@ def hub_edge_sum(n: int, nu: int) -> float:
 
 def max_sombor_value(n: int, nu: int) -> float:
     """Closed form for sombor(h_graph(n, nu)): the maximum Sombor index
-    over connected graphs with n vertices and cyclomatic number nu."""
+    over connected graphs with n vertices and cyclomatic number nu.  No
+    command calls it; ``perfbench/oracles.py`` imports it as the extremal
+    oracle's closed form, which is why it stays in the package."""
     if n < 2 or not 0 <= nu <= n - 2:
         raise ValueError(f"need n >= 2 and 0 <= nu <= n-2, got n={n}, nu={nu}")
     return hub_edge_sum(n, nu) + nu * math.sqrt((nu + 1) ** 2 + 4)
-
-
-def max_reduced_sombor_value(n: int, nu: int) -> float:
-    """Closed form for reduced_sombor(h_graph(n, nu)); maximum as above."""
-    if n < 2 or not 0 <= nu <= n - 2:
-        raise ValueError(f"need n >= 2 and 0 <= nu <= n-2, got n={n}, nu={nu}")
-    b = n - 2
-    return (
-        (n - nu - 2) * b
-        + nu * math.sqrt(b * b + 1)
-        + nu * math.sqrt(nu * nu + 1)
-        + math.sqrt(b * b + nu * nu)
-    )
 
 
 # each kind's builder and its parameter names, in the order the builder

@@ -25,9 +25,9 @@ endpoint-degree sums over edges).
 ``verify-extremal --index`` take: ``so`` and ``sored``.
 
 ``_is_tie`` is the one rule by which a float comparison of index values
-counts as a tie: the extremal search uses it for maximizer ties and the
-closed-form match, and ``bounds.Bound.check`` for equality.  Its
-docstring proves it sound for the Sombor indices.
+counts as a tie: the extremal search uses it for maximizer ties, and
+``bounds.Bound.check`` for equality of a bound's sides.  Its docstring
+proves it sound for the Sombor indices.
 """
 
 from __future__ import annotations
@@ -66,12 +66,9 @@ def _is_tie(a: float, b: float) -> bool:
       a tie.  The cell then has no unique maximizer, does not confirm
       h_graph, and fails visibly (exit 1).
 
-    ``families.max_sombor_value`` and ``max_reduced_sombor_value`` round
-    each square root, product and sum once, which keeps them within
-    1e-15 of their exact values, so a maximum equal to its closed form
-    ties it.  The bound covers nothing else: a term that a test registers
-    under a name, and the right-hand side of a bound, are judged by the
-    rule without it.
+    The error bound covers nothing else: a term that a test registers
+    under a name, and the sides of a bound, are judged by the rule
+    without it.
     """
     return abs(a - b) <= _TIE_TOL * max(1.0, abs(b))
 

@@ -8,10 +8,13 @@ isomorphism ground truth from networkx.  The graph helpers that only
 tests need (degrees, degree sequence, maximum degree, cyclomatic number,
 vertex deletion, and the path, cycle and regularity tests) live here too,
 not in the package, with a counter of the calls of a ``graphs`` function.
+So does ``max_reduced_sombor_value``, the closed form of SO_red(h_graph),
+against which the tests check the computed maximum.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import lru_cache
 from itertools import combinations
@@ -70,6 +73,21 @@ def is_cycle_graph(s: EdgeStats) -> bool:
 
 def is_regular(s: EdgeStats) -> bool:
     return len(set(s.degrees)) == 1
+
+
+def max_reduced_sombor_value(n: int, nu: int) -> float:
+    """Closed form for reduced_sombor(h_graph(n, nu)): the maximum reduced
+    Sombor index over connected graphs with n vertices and cyclomatic
+    number nu."""
+    if n < 2 or not 0 <= nu <= n - 2:
+        raise ValueError(f"need n >= 2 and 0 <= nu <= n-2, got n={n}, nu={nu}")
+    b = n - 2
+    return (
+        (n - nu - 2) * b
+        + nu * math.sqrt(b * b + 1)
+        + nu * math.sqrt(nu * nu + 1)
+        + math.sqrt(b * b + nu * nu)
+    )
 
 
 def count_calls(monkeypatch, name: str) -> list:

@@ -26,7 +26,6 @@ from somborkit.families import (
     h_degree_sequence,
     h_graph,
     is_star_plus_isolated,
-    max_reduced_sombor_value,
     max_sombor_value,
     path,
 )
@@ -41,6 +40,7 @@ from conftest import (
     is_path_graph,
     is_regular,
     max_degree,
+    max_reduced_sombor_value,
 )
 from majorization import Relation, compare, hypotenuse_term, karamata_compare
 

@@ -41,7 +41,7 @@ from somborkit.graphs import (
     parse_graph6,
 )
 
-from conftest import count_calls, degrees, is_cycle_graph, is_path_graph
+from conftest import count_calls, degree_sequence, degrees, is_cycle_graph, is_path_graph
 
 K2 = graph_from_edges(2, [(0, 1)])
 
@@ -336,6 +336,43 @@ def test_per_edge_rows_are_proved_at_50_digits():
         for k, bound_id in enumerate(("epsilon1-identity", "epsilon2-identity")):
             slack = sum(c * _identity_terms(a, b)[k] for (a, b), c in pairs)
             assert rows[bound_id].check(rec).slack == slack, (bound_id, g)
+
+
+def test_reduced_upper_rows_are_proved_in_integers():
+    """The proof in ``check_so_red_upper``'s docstring, pair by pair, in
+    exact integers: for every m <= 300 and every pair 1 <= a <= b with
+    a + b <= m + 1, sqrt((a-1)^2 + (b-1)^2) <= (a-1) + (b-1), compared
+    squared and tight iff a = 1, and (a-1) + (b-1) <= m - 1, tight iff
+    a + b = m + 1; so the term reaches m - 1 only at (1, m)."""
+    for m in range(1, 301):
+        for a in range(1, (m + 1) // 2 + 1):
+            x = a - 1
+            for b in range(a, m + 2 - a):
+                y = b - 1
+                first = (x + y) ** 2 - (x * x + y * y)
+                second = m - 1 - (x + y)
+                assert first >= 0 and (first == 0) == (a == 1), (m, a, b)
+                assert second >= 0 and (second == 0) == (a + b == m + 1), (m, a, b)
+                assert (x * x + y * y == (m - 1) ** 2) == ((a, b) == (1, m)), (m, a, b)
+
+
+def test_an_edge_meets_each_other_edge_at_most_once():
+    """a + b <= m + 1 on every edge of every class with n <= 8, the fact
+    the two reduced upper rows' proofs rest on.  Every edge attains it
+    exactly on a star plus isolated vertices, with pairs (1, m), and on a
+    triangle plus isolated vertices, with pairs (2, 2) at m = 3."""
+    tight = 0
+    for n in range(1, 9):
+        for m in range(n * (n - 1) // 2 + 1):
+            star_like = (m,) + (1,) * m + (0,) * (n - m - 1)
+            triangle = (2, 2, 2) + (0,) * (n - 3)
+            for g in enumeration.all_graphs(n, m):
+                sums = [a + b for a, b in edge_stats(g).endpoint_degree_counts]
+                assert all(t <= m + 1 for t in sums), encode_graph6(g)
+                expected = degree_sequence(g) in (star_like, triangle)
+                assert all(t == m + 1 for t in sums) == expected, encode_graph6(g)
+                tight += expected
+    assert tight == sum(range(1, 9)) + 6  # a star per m < n, a triangle per n >= 3
 
 
 def suite(graphs, bounds=None):

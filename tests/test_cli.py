@@ -19,7 +19,7 @@ from somborkit import cli, enumeration
 from somborkit.bounds import BOUNDS, BoundReport, GraphRecord, run_suite
 from somborkit.cli import build_parser, main
 from somborkit.enumeration import canonical_form
-from somborkit.families import FAMILIES, h_graph, max_sombor_value, path, star
+from somborkit.families import FAMILIES, h_graph, path, star
 from somborkit.graphs import encode_graph6, graph_from_edges, parse_graph6
 from somborkit.indices import first_zagreb, reduced_sombor, sombor, sombor_shifted
 
@@ -197,7 +197,7 @@ def test_verify_extremal_ok(capsys):
     assert lines[0] == "n,nu,universe_size,max_value,unique,gap,maximizer_graph6"
     assert len(lines) == 1 + 3 + 4  # nu ranges 0..2 and 0..3
     assert all(",true," in line for line in lines[1:])
-    # closed-form value appears at 12 significant digits
+    # the maximum, h_graph's SO, appears at 12 significant digits
     row_5_2 = [line for line in lines[1:] if line.startswith("5,2,")][0]
     assert row_5_2.split(",")[3] == "25.2784800865"
 
@@ -221,19 +221,16 @@ def test_verify_extremal_defaults_to_every_cell_of_each_order(capsys):
     )
 
 
-def test_verify_extremal_fails_a_wrong_closed_form(monkeypatch, capsys):
+def test_verify_extremal_fails_a_wrong_maximizer(monkeypatch, capsys):
+    """Under -SO as ``so``, h_graph maximizes only the cell (4, 2), whose
+    one class it is; every other cell of the 9 fails, and the command
+    still writes every row."""
     argv = ["verify-extremal", "--n", "4..6", "--nu", "0..2", "--index", "so"]
-    rc, expected, err = run(capsys, argv)
-    assert rc == 0 and err == ""
-    monkeypatch.setitem(
-        enumeration.CLOSED_FORMS, "so", lambda n, nu: max_sombor_value(n, nu) - 1
-    )
+    assert run(capsys, argv)[::2] == (0, "")
+    monkeypatch.setitem(enumeration.INDEX_FUNCTIONS, "so", lambda s: -sombor(s))
     rc, out, err = run(capsys, argv)
-    assert rc == 1 and out == expected
-    assert err == (
-        "error: 9 cell(s) do not confirm h_graph(n, nu) as the unique maximizer"
-        " at its closed-form value\n"
-    )
+    assert rc == 1 and len(out.splitlines()) == 1 + 9
+    assert err == "error: 8 cell(s) do not confirm h_graph(n, nu) as the unique maximizer\n"
 
 
 @pytest.mark.parametrize("cells", [["--n", "4", "--nu", "5"], ["--n", "4..9", "--nu", "8"]])

@@ -12,7 +12,6 @@ from somborkit.families import (
     h_graph,
     is_h_graph,
     is_star_plus_isolated,
-    max_reduced_sombor_value,
     max_sombor_value,
     path,
     star,
@@ -34,6 +33,7 @@ from conftest import (
     is_cycle_graph,
     is_path_graph,
     is_regular,
+    max_reduced_sombor_value,
 )
 
 # the equality classes the bound rows decide from their degree pairs
