@@ -36,10 +36,10 @@ g >= 0 on every pair its hypothesis admits, and its equality graphs are
 those whose pairs all lie in the zero set {g = 0}.  Each row's ``check_*``
 docstring proves this, and its equality class is a rule on the pairs.
 The global upper rows use the ``families`` tests ``is_star_plus_isolated``
-and ``is_h_graph``.  Of them, ``so-red-upper`` and ``tree-so-red-upper``
-are proved in their docstrings for every graph, from a + b <= m + 1 on
-every edge; ``degree-sum-upper`` is refuted in its docstring, and
-``so-shifted-upper`` has no proof here yet.
+and ``is_h_graph``.  Of them, ``so-shifted-upper``, ``so-red-upper`` and
+``tree-so-red-upper`` are proved in their docstrings for every graph,
+from a + b <= m + 1 on every edge, and ``degree-sum-upper`` is refuted
+in its docstring.  So every row is a theorem or a refuted statement.
 
 Hypothesis notes.  The lower bounds assume no isolated edges (no K2
 component); isolated vertices are permitted.  Their equality graphs are
@@ -203,7 +203,20 @@ def _edgeless(r: GraphRecord) -> bool:
 ))
 def check_so_shifted_upper(rec: GraphRecord) -> BoundReport:
     """sombor_shifted(G) <= m*sqrt((m+1)^2 + 4); equality exactly on a star
-    with m edges plus isolated vertices."""
+    with m edges plus isolated vertices.
+
+    Proof.  Let 1 <= a <= b be the endpoint degrees of an edge.  As in
+    ``check_so_red_upper``, the edge meets each of the other m - 1 edges
+    at most once, so a + b <= m + 1.  Hence
+
+        (a+1)^2 + (b+1)^2 = 4 + (a + b)^2 - 2(a-1)(b-1) <= 4 + (m+1)^2.
+
+    The step drops 2(a-1)(b-1) >= 0, tight iff a = 1, and uses
+    a + b <= m + 1, tight iff a + b = m + 1; so the term
+    sqrt((a+1)^2 + (b+1)^2) reaches sqrt((m+1)^2 + 4) iff the pair is
+    (1, m).  Summed over the m edges, this is the row, with equality iff
+    every pair is (1, m), which is ``is_star_plus_isolated``.  An edgeless
+    graph has 0 = 0 and no pair."""
     return BOUNDS["so-shifted-upper"][0].check(rec)
 
 

@@ -5,16 +5,15 @@ takes the ``EdgeStats`` of ``graphs.edge_stats`` -- built in one pass over
 the edges -- and never walks the edges itself.  A caller that needs
 several indices builds the profile once and passes it to each.
 
-``edge_sum`` is the one engine: it sums a symmetric edge term over the
-histogram of endpoint-degree pairs {i, j}.  The three Sombor indices are
-``edge_sum`` with their own term:
+``edge_sum(s, shift)`` is the one engine: it sums the edge term
+sqrt((i+shift)^2 + (j+shift)^2) over the histogram of endpoint-degree
+pairs {i, j}.  The three Sombor indices are ``edge_sum`` at their own
+integer shift:
 
-    sombor          sqrt(i^2 + j^2)
-    reduced_sombor  sqrt((i-1)^2 + (j-1)^2)
-    sombor_shifted  sqrt((i+1)^2 + (j+1)^2)
+    sombor          shift  0   sqrt(i^2 + j^2)
+    reduced_sombor  shift -1   sqrt((i-1)^2 + (j-1)^2)
+    sombor_shifted  shift +1   sqrt((i+1)^2 + (j+1)^2)
 
-The shifted terms stay private: every public function here takes a
-profile, which ``perfbench/spans.py`` relies on when it wraps them.
 Sums are taken with ``math.fsum``, which rounds the exact sum once; the
 result depends only on the histogram, so isomorphic graphs get
 bit-identical values whatever their vertex labels.  ``first_zagreb`` is
@@ -79,34 +78,23 @@ def _defined(s: EdgeStats) -> EdgeStats:
     return s
 
 
-def edge_sum(s: EdgeStats, term: Callable[[int, int], float]) -> float:
-    """Sum term(deg u, deg v) over the edges of the profiled graph.
-
-    ``term`` must be symmetric in its two arguments; it is evaluated once
-    per distinct endpoint-degree pair.
-    """
+def edge_sum(s: EdgeStats, shift: int) -> float:
+    """Sum hypot(deg u + shift, deg v + shift) over the edges of the
+    profiled graph, one term per distinct endpoint-degree pair."""
     pairs = _defined(s).endpoint_degree_counts.items()
-    return math.fsum(c * term(i, j) for (i, j), c in pairs)
-
-
-def _reduced_term(i: int, j: int) -> float:
-    return math.hypot(i - 1, j - 1)
-
-
-def _shifted_term(i: int, j: int) -> float:
-    return math.hypot(i + 1, j + 1)
+    return math.fsum(c * math.hypot(i + shift, j + shift) for (i, j), c in pairs)
 
 
 def sombor(s: EdgeStats) -> float:
-    return edge_sum(s, math.hypot)
+    return edge_sum(s, 0)
 
 
 def reduced_sombor(s: EdgeStats) -> float:
-    return edge_sum(s, _reduced_term)
+    return edge_sum(s, -1)
 
 
 def sombor_shifted(s: EdgeStats) -> float:
-    return edge_sum(s, _shifted_term)
+    return edge_sum(s, 1)
 
 
 INDEX_FUNCTIONS: dict[str, Callable[[EdgeStats], float]] = {

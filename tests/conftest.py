@@ -7,23 +7,30 @@ counts from binomials and the component-of-vertex-1 recurrence, and
 isomorphism ground truth from networkx.  The graph helpers that only
 tests need (degrees, degree sequence, maximum degree, cyclomatic number,
 vertex deletion, and the path, cycle and regularity tests) live here too,
-not in the package, with a counter of the calls of a ``graphs`` function.
+not in the package, with a counter of the calls of a ``graphs`` function
+and ``module_env``, the environment under which a subprocess runs this
+source tree.
 So does ``max_reduced_sombor_value``, the closed form of SO_red(h_graph),
-against which the tests check the computed maximum.
+against which the tests check the computed maximum, and ``term_sum``,
+which sums any edge term over a profile for the tests that rank graphs
+by an index of their own.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
+import somborkit
 from somborkit import graphs
 from somborkit.graphs import EdgeStats, Graph, edge_stats, graph_from_edges
 
@@ -88,6 +95,19 @@ def max_reduced_sombor_value(n: int, nu: int) -> float:
         + nu * math.sqrt(nu * nu + 1)
         + math.sqrt(b * b + nu * nu)
     )
+
+
+def term_sum(s: EdgeStats, term) -> float:
+    """The fsum of c * term(i, j) over the endpoint-degree pair histogram
+    of ``s``: the index whose edge term is the symmetric ``term``."""
+    return math.fsum(c * term(i, j) for (i, j), c in s.endpoint_degree_counts.items())
+
+
+def module_env() -> dict:
+    """The environment under which ``python -m somborkit`` imports this
+    source tree."""
+    src = str(Path(somborkit.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def count_calls(monkeypatch, name: str) -> list:

@@ -339,11 +339,14 @@ def test_per_edge_rows_are_proved_at_50_digits():
 
 
 def test_reduced_upper_rows_are_proved_in_integers():
-    """The proof in ``check_so_red_upper``'s docstring, pair by pair, in
-    exact integers: for every m <= 300 and every pair 1 <= a <= b with
+    """The proofs in ``check_so_red_upper``'s and
+    ``check_so_shifted_upper``'s docstrings, pair by pair, in exact
+    integers: for every m <= 300 and every pair 1 <= a <= b with
     a + b <= m + 1, sqrt((a-1)^2 + (b-1)^2) <= (a-1) + (b-1), compared
     squared and tight iff a = 1, and (a-1) + (b-1) <= m - 1, tight iff
-    a + b = m + 1; so the term reaches m - 1 only at (1, m)."""
+    a + b = m + 1; so the term reaches m - 1 only at (1, m).  And
+    (a+1)^2 + (b+1)^2 = 4 + (a+b)^2 - 2(a-1)(b-1) <= 4 + (m+1)^2, with
+    equality only at (1, m)."""
     for m in range(1, 301):
         for a in range(1, (m + 1) // 2 + 1):
             x = a - 1
@@ -354,13 +357,18 @@ def test_reduced_upper_rows_are_proved_in_integers():
                 assert first >= 0 and (first == 0) == (a == 1), (m, a, b)
                 assert second >= 0 and (second == 0) == (a + b == m + 1), (m, a, b)
                 assert (x * x + y * y == (m - 1) ** 2) == ((a, b) == (1, m)), (m, a, b)
+                shifted = (a + 1) ** 2 + (b + 1) ** 2
+                assert shifted == 4 + (a + b) ** 2 - 2 * x * y, (m, a, b)
+                cap = 4 + (m + 1) ** 2
+                assert shifted <= cap and (shifted == cap) == ((a, b) == (1, m)), (m, a, b)
 
 
 def test_an_edge_meets_each_other_edge_at_most_once():
     """a + b <= m + 1 on every edge of every class with n <= 8, the fact
-    the two reduced upper rows' proofs rest on.  Every edge attains it
-    exactly on a star plus isolated vertices, with pairs (1, m), and on a
-    triangle plus isolated vertices, with pairs (2, 2) at m = 3."""
+    the proofs of the shifted and the two reduced upper rows rest on.
+    Every edge attains it exactly on a star plus isolated vertices, with
+    pairs (1, m), and on a triangle plus isolated vertices, with pairs
+    (2, 2) at m = 3."""
     tight = 0
     for n in range(1, 9):
         for m in range(n * (n - 1) // 2 + 1):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import degrees, to_nx
+from conftest import degrees, module_env, to_nx
 
 import somborkit
 from somborkit import cli, enumeration
@@ -380,13 +380,6 @@ def test_verify_bounds_prints_long_headers_in_short_form(monkeypatch, capsys):
     assert encode_graph6(big).startswith("~")
 
 
-def _module_env() -> dict:
-    """The environment under which ``python -m somborkit`` imports this
-    source tree."""
-    src = str(Path(somborkit.__file__).parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
 @pytest.mark.parametrize("module", ["somborkit", "somborkit.cli"])
 def test_runs_as_a_module(module):
     """``python -m somborkit`` and ``python -m somborkit.cli`` run the CLI."""
@@ -394,7 +387,7 @@ def test_runs_as_a_module(module):
     def run_module(*argv):
         return subprocess.run(
             [sys.executable, "-m", module, *argv],
-            env=_module_env(),
+            env=module_env(),
             capture_output=True,
             text=True,
             timeout=60,
@@ -424,7 +417,7 @@ def test_imports_only_the_standard_library():
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env=_module_env(),
+        env=module_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -442,7 +435,7 @@ def test_bare_import_loads_no_submodule():
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env=_module_env(),
+        env=module_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -484,7 +477,7 @@ def _run_command(argv, tmp_path, report: str) -> subprocess.CompletedProcess:
     argv = [arg.format(src) for arg in argv] + ["--output", str(tmp_path / "out")]
     return subprocess.run(
         [sys.executable, "-c", probe, *argv],
-        env=_module_env(),
+        env=module_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -562,7 +555,7 @@ def test_a_closed_stdout_stops_the_cli_quietly(argv, tmp_path):
     try:
         child = subprocess.Popen(
             [sys.executable, "-m", "somborkit", *(arg.format(src) for arg in argv)],
-            env={**_module_env(), "PYTHONUNBUFFERED": "1"},
+            env={**module_env(), "PYTHONUNBUFFERED": "1"},
             stdout=write_end,
             stderr=subprocess.PIPE,
             start_new_session=True,

@@ -26,7 +26,6 @@ from somborkit.graphs import (
     graph_from_edges,
     is_connected,
 )
-from somborkit.indices import edge_sum
 
 from conftest import (
     aut_count,
@@ -37,6 +36,7 @@ from conftest import (
     labeled_connected_count,
     labeled_graph_count,
     relabel,
+    term_sum,
     to_nx,
 )
 
@@ -733,7 +733,7 @@ def test_extremal_search_reduced_7_5():
 def _register_term(monkeypatch, name, term):
     """Enter the symmetric edge term ``term`` as the index ``name`` for
     one test."""
-    monkeypatch.setitem(enumeration.INDEX_FUNCTIONS, name, lambda s: edge_sum(s, term))
+    monkeypatch.setitem(enumeration.INDEX_FUNCTIONS, name, lambda s: term_sum(s, term))
 
 
 def test_extremal_search_constant_term_ties(monkeypatch):

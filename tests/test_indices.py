@@ -2,6 +2,7 @@ import decimal
 import functools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from somborkit.enumeration import connected_graphs
 from somborkit.families import complete, cycle, h_graph, path, star, star_plus_isolated
-from somborkit.graphs import EdgeStats, edge_stats, graph_from_edges
+from somborkit.graphs import EdgeStats, edge_stats, encode_graph6, graph_from_edges
 from somborkit.indices import (
     edge_sum,
     first_zagreb,
@@ -58,10 +59,24 @@ def test_first_zagreb_values():
 
 
 def test_edge_sum_engine():
-    s = edge_stats(h_graph(6, 3))
-    assert edge_sum(s, math.hypot) == pytest.approx(sombor(s), rel=1e-15)
-    assert edge_sum(edge_stats(path(4)), lambda a, b: a + b) == 10
-    assert edge_sum(s, lambda a, b: 1) == s.m
+    """``edge_sum(s, k)``, for each shift the indices use, is bit for bit
+    the ``fsum`` of c * hypot(i + k, j + k) over a pair histogram counted
+    here from the edges.  The plain per-edge ``fsum`` of
+    hypot(d(u) + k, d(v) + k) can differ in the last bit, since each
+    product c * hypot rounds once; it stays within 1e-15, relative."""
+    rng = random.Random(32)
+    for _ in range(50):
+        n = rng.randint(1, 30)
+        p = rng.uniform(0.05, 0.9)
+        g = graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        s, deg = edge_stats(g), degrees(g)
+        pairs = Counter(tuple(sorted((deg[u], deg[v]))) for u, v in g.edges())
+        for k in (-1, 0, 1):
+            value = edge_sum(s, k)
+            expected = math.fsum(c * math.hypot(i + k, j + k) for (i, j), c in pairs.items())
+            assert value == expected, (encode_graph6(g), k)
+            per_edge = math.fsum(math.hypot(deg[u] + k, deg[v] + k) for u, v in g.edges())
+            assert value == pytest.approx(per_edge, rel=1e-15, abs=0), (encode_graph6(g), k)
 
 
 def test_sombor_family_is_label_invariant():
@@ -104,7 +119,7 @@ def test_indices_reject_order_zero():
         with pytest.raises(ValueError):
             fn(s0)
     with pytest.raises(ValueError):
-        edge_sum(s0, math.hypot)
+        edge_sum(s0, 0)
 
 
 @given(graphs_strategy())
