@@ -22,7 +22,9 @@ graph6 codec
     of each row, packed into one int, is the body with its bits
     reversed; one ``bytes.translate`` reverses them back, and the body
     is written as base64 digits, six bits each like graph6's, mapped to
-    graph6 characters by another translate.
+    graph6 characters by another translate.  The body encoder,
+    ``_graph6_body(n, rows)``, also writes enumeration's canonical keys
+    of discrete partitions, which are graph6 bodies in canonical order.
 
 Degree profile
     ``edge_stats`` returns what every index, bound and family test reads:
@@ -35,7 +37,7 @@ Degree profile
 from __future__ import annotations
 
 from binascii import b2a_base64
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class Graph6Error(ValueError):
@@ -93,7 +95,7 @@ def graph_from_edges(n: int, edges) -> Graph:
     return _from_rows(n, tuple(rows))
 
 
-def _reachable(rows: tuple[int, ...], start: int) -> int:
+def _reachable(rows: Sequence[int], start: int) -> int:
     """Bit set of vertices reachable from start (bitset BFS)."""
     seen = 1 << start
     frontier = seen
@@ -122,9 +124,7 @@ def component_count(g: Graph) -> int:
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one component (the order-0 graph counts as
     disconnected)."""
-    if g.n == 0:
-        return False
-    return _reachable(g.rows, 0) == (1 << g.n) - 1
+    return component_count(g) == 1
 
 
 class EdgeStats(NamedTuple):
@@ -214,15 +214,15 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 )
 
 
-def _graph6_body(g: Graph) -> int:
-    """The body bits x(0,1), x(0,2), x(1,2), x(0,3), ... as one binary
-    number, x(0,1) most significant."""
-    n = g.n
+def _graph6_body(n: int, rows: Sequence[int]) -> int:
+    """The body bits x(0,1), x(0,2), x(1,2), x(0,3), ... of the order-n
+    graph with adjacency rows ``rows``, as one binary number, x(0,1) most
+    significant.  Only the bits u < v of each row v are read."""
     nbits = n * (n - 1) // 2
     # bit u of row v (u < v) goes to bit v(v-1)/2 + u: the body reversed
     reversed_body = 0
     for v in range(n - 1, 0, -1):
-        reversed_body = reversed_body << v | g.rows[v] & ((1 << v) - 1)
+        reversed_body = reversed_body << v | rows[v] & ((1 << v) - 1)
     size = (nbits + 7) // 8
     raw = reversed_body.to_bytes(size, "little").translate(_REVERSED_BYTE)
     return int.from_bytes(raw, "big") >> (8 * size - nbits)
@@ -241,7 +241,7 @@ def _graph6_from_body(n: int, body: int) -> str:
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supported for n <= {GRAPH6_MAX_N}, got n={g.n}")
-    return _graph6_from_body(g.n, _graph6_body(g))
+    return _graph6_from_body(g.n, _graph6_body(g.n, g.rows))
 
 
 # str.translate table: each graph6 character to its six bits, MSB first

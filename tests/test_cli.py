@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import math
 import os
@@ -513,6 +514,36 @@ def test_every_module_is_run_by_some_command(tmp_path):
         assert (done.returncode, code, done.stderr) == (0, "0", ""), argv
         loaded.update(names)
     assert loaded == modules
+
+
+def test_every_private_name_is_used_in_the_package():
+    """Each module-level private name of ``src/somborkit`` (a leading
+    underscore, dunders aside) is loaded somewhere in the package outside
+    its own definition, so a helper whose work has moved elsewhere cannot
+    stay behind without a caller."""
+    defined = {}  # private name -> the top-level statement defining it
+    loads = []  # (name loaded, the top-level statement holding the load)
+    for file in sorted(Path(somborkit.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(file.read_text(), str(file)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined.update((name, stmt) for name in names if name[0] == "_" and name[-2:] != "__")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.append((node.id, stmt))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.append((node.attr, stmt))
+    unused = [
+        name
+        for name, where in defined.items()
+        if not any(loaded == name and stmt is not where for loaded, stmt in loads)
+    ]
+    assert len(defined) > 10 and unused == []
 
 
 def test_the_layer_names_resolve_on_access():
