@@ -16,7 +16,9 @@ vertices are labeled.
 Each checked statement is one ``Bound`` row of the ``BOUNDS`` table, under
 its group name: its id, sides, sense, vacuity predicate and equality class.
 ``Bound.check`` is the one place a bound is judged and its BoundReport
-built; ``BOUND_GROUPS`` and ``CHARACTERIZED_BOUNDS`` are read off the table.
+built; ``BOUND_GROUPS`` is read off the table.  A report holds only the
+nine CSV columns of its row, so ``run_suite``, which has the row in hand,
+decides both verdicts below from each (row, report) pair.
 
 Slack is oriented so that ``slack >= 0`` is the uniform holds-test:
 rhs - lhs for upper bounds, lhs - rhs for lower bounds.  Equality
@@ -24,10 +26,12 @@ detection is two-stage: numeric (lhs and rhs tie under
 ``indices._is_tie``, |slack| <= 1e-9 * max(1, |rhs|)) and then
 structural, by the row's equality class, a rule on the profile.  A
 numeric equality also counts as holding for an upper or lower bound and
-as failing for a strict one.
-A numeric equality without the structural match is an anomaly and is
-never silently accepted.  An identity compares exact integers: it holds
-only at slack 0 and has no equality class.
+as failing for a strict one.  A report that does not hold is a
+violation; a vacuous report is written as holding, so it never is one.
+A numeric equality without the structural match, on a row that has an
+equality class, is an anomaly and is never silently accepted; a vacuous
+report has no equality, so it never is one either.  An identity compares
+exact integers: it holds only at slack 0 and has no equality class.
 
 Eight rows are per-edge rows: the two identities, the two M1 lower bounds
 and the four Zagreb rows.  Their slack is a sum over edges of one term
@@ -96,21 +100,6 @@ class BoundReport(NamedTuple):
     equality: bool
     equality_class_match: bool
     vacuous: bool
-
-    @property
-    def violation(self) -> bool:
-        return not self.vacuous and not self.holds
-
-    @property
-    def anomaly(self) -> bool:
-        """Numeric equality on a characterized bound without the structural
-        match."""
-        return (
-            not self.vacuous
-            and self.equality
-            and self.bound_id in CHARACTERIZED_BOUNDS
-            and not self.equality_class_match
-        )
 
 
 class Bound(NamedTuple):
@@ -455,14 +444,10 @@ def check_zagreb_sandwich(rec: GraphRecord) -> list[BoundReport]:
     return [b.check(rec) for b in BOUNDS["zagreb-sandwich"]]
 
 
-# bound_ids whose equality case has a proven structural characterization
-CHARACTERIZED_BOUNDS = frozenset(
-    b.id for rows in BOUNDS.values() for b in rows if b.equality_class is not None
-)
-
-
 class SuiteSummary(NamedTuple):
-    """The tallies of a suite run; each counts reports, except ``graphs``."""
+    """The tallies of a suite run; each counts reports, except ``graphs``.
+    ``violations`` and ``anomalies`` are decided by ``run_suite`` from each
+    report and the row that judged it."""
 
     graphs: int
     reports: int
@@ -490,7 +475,10 @@ def run_suite(
     Each graph's reports (one per row of the selected groups, in group
     order) are passed to ``sink`` before the next record is read, and then
     dropped: the returned summary keeps only the tallies, so memory does
-    not grow with the input.
+    not grow with the input.  Each report is tallied with the row that
+    judged it: a violation if it does not hold, an anomaly if it is a
+    numeric equality without the structural match on a row that has an
+    equality class.
     """
     if bounds is None:
         selected = list(BOUNDS)
@@ -500,22 +488,21 @@ def run_suite(
         if unknown:
             raise ValueError(f"unknown bound group(s) {unknown}; known: {sorted(BOUNDS)}")
     rows = [b for name in selected for b in BOUNDS[name]]
-    n_graphs = n_reports = holds = equality = vacuous = violations = anomalies = 0
+    n_graphs = holds = equality = vacuous = violations = anomalies = 0
     for rec in records:
         n_graphs += 1
         reports = [b.check(rec) for b in rows]
-        n_reports += len(reports)
-        for r in reports:
+        for b, r in zip(rows, reports):
             holds += r.holds and not r.vacuous
             equality += r.equality
             vacuous += r.vacuous
-            violations += r.violation
-            anomalies += r.anomaly
+            violations += not r.holds
+            anomalies += r.equality and not r.equality_class_match and bool(b.equality_class)
         if sink is not None:
             sink(reports)
     return SuiteSummary(
         graphs=n_graphs,
-        reports=n_reports,
+        reports=n_graphs * len(rows),
         holds=holds,
         equality=equality,
         vacuous=vacuous,

@@ -117,10 +117,12 @@ Generation
     of worker count; an upper level is flipped again at each call.  With
     more than one worker, a chain level is grown in the process pool of
     min(workers, CPU count) workers, in four chunks per pool worker, once
-    it has more than four parents per pool worker.  Each pool size has one
-    pool, started at the first level that needs it and reused by every
-    later level and call in the process; interpreter exit, or
-    ``shutdown_pools``, joins its workers.
+    it has more than four parents per pool worker.  The process holds one
+    pool at a time, started at the first level that needs it and reused by
+    every later level and call of the same size; a call of another size
+    first joins its workers, so the process never forks while another
+    pool's threads run.  Interpreter exit, or ``shutdown_pools``, joins the
+    workers of the last one.
 
 Extremal search
     ``extremal_search`` profiles every connected class of a cell once and
@@ -429,16 +431,19 @@ _pools: dict[int, ProcessPoolExecutor] = {}
 
 
 def _pool(size: int) -> ProcessPoolExecutor:
-    """The process's one pool of ``size`` workers, started on first use.
-    Interpreter exit joins its workers."""
+    """The process's one pool, of ``size`` workers.  A pool of another size
+    is shut down and its workers joined before this one starts, since
+    forking while that pool's threads run can deadlock the child.
+    Interpreter exit joins the workers."""
     pool = _pools.get(size)
     if pool is None:
+        shutdown_pools()
         pool = _pools[size] = ProcessPoolExecutor(max_workers=size)
     return pool
 
 
 def shutdown_pools() -> None:
-    """Join the workers of every pool this process started.  A process
+    """Join the workers of the process's pool, if it has one.  A process
     that ends on a signal must call this first: its forked workers would
     otherwise wait for work forever, as orphans."""
     while _pools:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 from itertools import combinations, permutations
 from math import factorial
 
@@ -674,6 +675,9 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
             chunk_lengths.append([len(chunk[1]) for chunk in chunks])
             return map(fn, chunks)
 
+        def shutdown(self, cancel_futures):
+            pass
+
     def map_chunks(keys, workers):
         parts = enumeration._map_chunks(lambda args: len(args[1]), 9, tuple(range(keys)), workers)
         assert sum(parts) == keys
@@ -693,6 +697,33 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
     map_chunks(5, 2)
     assert sizes == [3, 1] and chunk_lengths[-1] == [2, 2, 1]
     assert map_chunks(5, 1) == [5] and len(sizes) == 2
+
+
+def test_a_pool_of_another_size_replaces_the_last(monkeypatch):
+    """The process holds one pool at a time: a request of another size
+    shuts the last pool down and joins its workers before it forks, so no
+    fork runs beside another pool's threads (Python 3.12 and later warn of
+    such a fork as "multi-threaded").  Trees, unicyclic and bicyclic
+    levels of n = 8 are grown in a real pool of two workers, then again in
+    one of three."""
+    serial = connected_graphs(8, 9)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    levels = [(8, m, True) for m in (7, 8, 9)]
+    kept = {key: enumeration._level_cache.pop(key) for key in levels}
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert connected_graphs(8, 9, workers=2) == serial
+            pool = enumeration._pools[2]
+            for key in levels:
+                del enumeration._level_cache[key]
+            assert connected_graphs(8, 9, workers=3) == serial
+    finally:
+        enumeration._level_cache.update(kept)
+    assert not [w for w in caught if "multi-threaded" in str(w.message)]
+    assert list(enumeration._pools) == [3]
+    with pytest.raises(RuntimeError):
+        pool.submit(int)
 
 
 def test_extremal_search_5_2():
