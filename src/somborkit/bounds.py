@@ -254,15 +254,15 @@ def check_tree_corollary(rec: GraphRecord) -> BoundReport:
 
 
 def _degree_sum_sides(r: GraphRecord) -> tuple[float, float]:
-    deg = r.stats.degrees
-    hub = deg.index(max(deg))
-    a = r.n - 1
-    lhs = math.fsum(math.hypot(a, d) for v, d in enumerate(deg) if v != hub)
-    return lhs, hub_edge_sum(r.n, r.stats.nu)
+    # one term per vertex but one of greatest degree, the hub, whose term is
+    # the greatest; fsum rounds the exact sum once, whatever the term order
+    terms = [math.hypot(r.n - 1, d) for d, c in r.stats.degree_counts.items() for _ in range(c)]
+    terms.remove(max(terms))
+    return math.fsum(terms), hub_edge_sum(r.n, r.stats.nu)
 
 
 def _outside_degree_sum_hypothesis(r: GraphRecord) -> bool:
-    return max(r.stats.degrees) != r.n - 1 or not 0 <= r.stats.nu <= r.n - 2
+    return max(r.stats.degree_counts) != r.n - 1 or not 0 <= r.stats.nu <= r.n - 2
 
 
 @_group("degree-sum-upper", Bound(

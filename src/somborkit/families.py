@@ -19,6 +19,7 @@ classes are rules on the endpoint-degree pairs and live in ``bounds``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable
 
 from .graphs import EdgeStats, Graph, graph_from_edges
@@ -134,7 +135,7 @@ def h_degree_sequence(n: int, nu: int) -> tuple[int, ...]:
 
 def is_h_graph(s: EdgeStats) -> bool:
     """True iff the graph is h_graph(n, nu) for nu = m - (n-1): iff its
-    sorted degrees are ``h_degree_sequence(n, nu)``.
+    degree counts are those of ``h_degree_sequence(n, nu)``.
 
     That sequence has exactly one realization.  A vertex of degree n-1 is
     adjacent to every other vertex; deleting it leaves the degrees
@@ -147,4 +148,4 @@ def is_h_graph(s: EdgeStats) -> bool:
     nu = s.m - s.n + 1
     if not 0 <= nu <= s.n - 2:
         return False
-    return tuple(sorted(s.degrees, reverse=True)) == h_degree_sequence(s.n, nu)
+    return s.degree_counts == Counter(h_degree_sequence(s.n, nu))

@@ -28,7 +28,9 @@ graph6 codec
 
 Degree profile
     ``edge_stats`` returns what every index, bound and family test reads:
-    the endpoint-degree pair histogram, the degrees and the component count.
+    the endpoint-degree pair histogram, the degree counts (how many
+    vertices have each degree) and the component count.  No field names a
+    vertex, so a profile can also be written from degrees alone.
     The histogram is counted per pair of degree classes: the rows of one
     class, packed into one int, are popcounted against the bit set of the
     other, copied into every row's lane.
@@ -37,6 +39,7 @@ Degree profile
 from __future__ import annotations
 
 from binascii import b2a_base64
+from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -131,23 +134,26 @@ class EdgeStats(NamedTuple):
     """Degree profile: everything the indices, bounds and family tests read.
 
     ``endpoint_degree_counts[(i, j)]`` with i <= j counts edges whose
-    endpoint degrees are {i, j}; it sums to m, and holds only nonzero
-    counts.  ``degrees[v]`` is the degree of vertex v and ``components``
-    the number of connected components; n, m and nu are derived from
-    these.
+    endpoint degrees are {i, j}; it sums to m.  ``degree_counts[k]``
+    counts the vertices of degree k, isolated ones under 0; it sums to n.
+    Both hold only nonzero counts, and no field names a vertex.  The
+    histogram fixes every count but that of degree 0: the pair ends at
+    degree k, each pair's count taken once per end of degree k, are k
+    times ``degree_counts[k]``.  ``components`` is the number of connected
+    components; n, m and nu are derived from these.
     """
 
     endpoint_degree_counts: dict[tuple[int, int], int]
-    degrees: tuple[int, ...]
+    degree_counts: dict[int, int]
     components: int
 
     @property
     def n(self) -> int:
-        return len(self.degrees)
+        return sum(self.degree_counts.values())
 
     @property
     def m(self) -> int:
-        return sum(self.degrees) // 2
+        return sum(self.endpoint_degree_counts.values())
 
     @property
     def nu(self) -> int:
@@ -184,7 +190,7 @@ def edge_stats(g: Graph) -> EdgeStats:
             ends = (rows_i & lanes[b]).bit_count()
             if ends:
                 by_pair[(i, classes[b])] = ends if a < b else ends // 2
-    return EdgeStats(by_pair, deg, component_count(g))
+    return EdgeStats(by_pair, Counter(deg), component_count(g))
 
 
 # ---------------------------------------------------------------------------

@@ -105,4 +105,4 @@ INDEX_FUNCTIONS: dict[str, Callable[[EdgeStats], float]] = {
 
 def first_zagreb(s: EdgeStats) -> int:
     """Sum of squared vertex degrees, computed exactly in integers."""
-    return sum(d * d for d in _defined(s).degrees)
+    return sum(d * d * c for d, c in _defined(s).degree_counts.items())

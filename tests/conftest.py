@@ -70,16 +70,16 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def is_path_graph(s: EdgeStats) -> bool:
-    return s.components == 1 and s.m == s.n - 1 and all(d <= 2 for d in s.degrees)
+    return s.components == 1 and s.m == s.n - 1 and all(d <= 2 for d in s.degree_counts)
 
 
 def is_cycle_graph(s: EdgeStats) -> bool:
     """Connected and 2-regular, which forces n >= 3 and m == n."""
-    return s.components == 1 and all(d == 2 for d in s.degrees)
+    return s.components == 1 and all(d == 2 for d in s.degree_counts)
 
 
 def is_regular(s: EdgeStats) -> bool:
-    return len(set(s.degrees)) == 1
+    return len(s.degree_counts) == 1
 
 
 def max_reduced_sombor_value(n: int, nu: int) -> float:

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +32,6 @@ from somborkit.families import (
     star_plus_isolated,
 )
 from somborkit.graphs import (
-    EdgeStats,
     component_count,
     edge_stats,
     encode_graph6,
@@ -146,11 +144,27 @@ def _non_increasing(length: int, top: int, budget: int):
             yield (d, *rest)
 
 
+def _havel_hakimi(seq: tuple[int, ...]):
+    """A graph with the graphical degree sequence ``seq``: each step joins
+    a vertex of the greatest remaining degree d to the d other vertices of
+    the greatest remaining degrees."""
+    left = list(seq)
+    edges = []
+    while any(left):
+        u = max(range(len(left)), key=left.__getitem__)
+        d, left[u] = left[u], 0
+        rest = sorted((v for v in range(len(left)) if left[v]), key=left.__getitem__, reverse=True)
+        for v in rest[:d]:
+            left[v] -= 1
+            edges.append((u, v))
+    return graph_from_edges(len(seq), edges)
+
+
 def test_degree_sum_lemma_fails_on_one_sequence_per_order():
     """The degree-sum bound reads only the degree sequence, so every
     graphical sequence with a dominating vertex and 0 <= nu <= n-2 is
-    judged by the shipped row, on a record that carries the sequence
-    alone.  For 4 <= n <= 12 (1,132 sequences) the only violation is
+    judged by the shipped row, on one graph that realizes it (Havel-Hakimi).
+    For 4 <= n <= 12 (1,132 sequences) the only violation is
     (n-1, 3, 3, 3, 1^(n-4)) at nu = 3, the hub plus a triangle, from
     n = 5 on; its excess falls from 0.0498 (``DJ{``) to 0.0049."""
     row = bounds.BOUNDS["degree-sum-upper"][0]
@@ -162,13 +176,13 @@ def test_degree_sum_lemma_fails_on_one_sequence_per_order():
             seq = (n - 1, *rest)
             if sum(seq) % 2 or not _is_graphical(seq):
                 continue
-            stats = EdgeStats({}, seq, 1)  # a dominating vertex connects the graph
-            # the row reads only n and m besides the profile
-            r = row.check(SimpleNamespace(n=stats.n, m=stats.m, stats=stats, graph6=""))
+            g = _havel_hakimi(seq)
+            assert degree_sequence(g) == seq
+            r = row.check(GraphRecord(g))
             assert not r.vacuous
             judged += 1
             if not r.holds:
-                violations.append((seq, stats.m - n + 1))
+                violations.append((seq, g.m - n + 1))
     assert judged == 1132
     assert violations == [((n - 1, 3, 3, 3) + (1,) * (n - 4), 3) for n in range(5, 13)]
 

@@ -122,8 +122,25 @@ def test_edge_stats_invariants(g):
         if g.rows[u] >> v & 1
     )
     assert stats.endpoint_degree_counts == pairs
-    assert stats.degrees == tuple(deg) and (stats.n, stats.m) == (g.n, g.m)
+    _check_degree_counts(stats, deg)
+    assert (stats.n, stats.m) == (g.n, g.m)
     assert stats.components == component_count(g)
+
+
+def _check_degree_counts(stats, deg):
+    """``degree_counts`` counts the degrees ``deg``, holds no zero count (a
+    plain dict with one would not equal a Counter, so ``is_h_graph`` would
+    reject H) and agrees with the histogram: the pair ends at degree k,
+    each pair's count added once per end of degree k, are k times the
+    count of degree k."""
+    assert stats.degree_counts == Counter(deg)
+    assert 0 not in stats.degree_counts.values()
+    ends = Counter()
+    for (i, j), c in stats.endpoint_degree_counts.items():
+        ends[i] += c
+        ends[j] += c
+    assert set(ends) <= set(stats.degree_counts)
+    assert all(ends[k] == k * c for k, c in stats.degree_counts.items())
 
 
 def test_max_degree():
@@ -343,6 +360,6 @@ def test_edge_stats_matches_per_edge_reference():
         stats = edge_stats(g)
         pairs, deg, components = _reference_profile(g)
         assert stats.endpoint_degree_counts == pairs
-        assert stats.degrees == deg
+        _check_degree_counts(stats, deg)
         assert stats.components == components
         assert (stats.n, stats.m) == (g.n, g.m)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somborkit.enumeration import connected_graphs
-from somborkit.families import complete, cycle, h_graph, path, star, star_plus_isolated
+from somborkit.families import complete, cycle, h_graph, is_h_graph, path, star, star_plus_isolated
 from somborkit.graphs import EdgeStats, edge_stats, encode_graph6, graph_from_edges
 from somborkit.indices import (
     edge_sum,
@@ -107,10 +107,17 @@ def test_sombor_family_is_label_invariant():
 
 def test_indices_accept_a_profile():
     # the profile of the star K1,3, written out: no graph is needed
-    stats = EdgeStats({(1, 3): 3}, (3, 1, 1, 1), 1)
+    stats = EdgeStats({(1, 3): 3}, {1: 3, 3: 1}, 1)
     assert stats == edge_stats(star(4))
     values = [fn(stats) for fn in (sombor, reduced_sombor, sombor_shifted, first_zagreb)]
     assert values == [3 * math.hypot(1, 3), 6.0, 3 * math.hypot(2, 4), 12]
+    # h_graph(6, 2) from its histogram and degree counts alone, as plain
+    # dicts: degrees 5 (hub), 3 (fixed leaf), 2, 2, 1, 1
+    written = EdgeStats({(1, 5): 2, (2, 3): 2, (2, 5): 2, (3, 5): 1}, {5: 1, 3: 1, 2: 2, 1: 2}, 1)
+    built = edge_stats(h_graph(6, 2))
+    for fn in (sombor, reduced_sombor, sombor_shifted, first_zagreb):
+        assert fn(written) == fn(built), fn.__name__
+    assert is_h_graph(written) and is_h_graph(built)
 
 
 def test_indices_reject_order_zero():
