@@ -16,9 +16,11 @@ vertices are labeled.
 Each checked statement is one ``Bound`` row of the ``BOUNDS`` table, under
 its group name: its id, sides, sense, vacuity predicate and equality class.
 ``Bound.check`` is the one place a bound is judged and its BoundReport
-built; ``BOUND_GROUPS`` is read off the table.  A report holds only the
-nine CSV columns of its row, so ``run_suite``, which has the row in hand,
-decides both verdicts below from each (row, report) pair.
+built; ``BOUND_GROUPS`` is read off the table.  Each record written as CSV
+is its row: a ``BoundReport``'s fields, in order, are the nine columns of
+a bound row and a ``SuiteSummary``'s the seven of the summary, and each
+header is its record's field names.  So ``run_suite``, which has the row
+in hand, decides both verdicts below from each (row, report) pair.
 
 Slack is oriented so that ``slack >= 0`` is the uniform holds-test:
 rhs - lhs for upper bounds, lhs - rhs for lower bounds.  Equality
@@ -91,6 +93,9 @@ class GraphRecord:
 
 
 class BoundReport(NamedTuple):
+    """One bound judged on one graph.  Its fields, in order, are the
+    columns of its CSV row, and their names the header's."""
+
     bound_id: str
     graph6: str
     lhs: float
@@ -98,7 +103,7 @@ class BoundReport(NamedTuple):
     slack: float
     holds: bool
     equality: bool
-    equality_class_match: bool
+    class_match: bool
     vacuous: bool
 
 
@@ -150,7 +155,7 @@ class Bound(NamedTuple):
             slack=float(slack),
             holds=holds or vacuous,
             equality=equality,
-            equality_class_match=bool(match),
+            class_match=bool(match),
             vacuous=vacuous,
         )
 
@@ -447,7 +452,8 @@ def check_zagreb_sandwich(rec: GraphRecord) -> list[BoundReport]:
 class SuiteSummary(NamedTuple):
     """The tallies of a suite run; each counts reports, except ``graphs``.
     ``violations`` and ``anomalies`` are decided by ``run_suite`` from each
-    report and the row that judged it."""
+    report and the row that judged it.  The fields, in order, are the
+    columns of the CSV summary, and their names its header."""
 
     graphs: int
     reports: int
@@ -464,29 +470,27 @@ class SuiteSummary(NamedTuple):
 
 def run_suite(
     records: Iterable[GraphRecord],
-    bounds: Iterable[str] | None = None,
-    sink: Callable[[list[BoundReport]], object] | None = None,
+    bounds: Iterable[str],
+    sink: Callable[[list[BoundReport]], object],
 ) -> SuiteSummary:
     """Evaluate the selected bound groups on every graph.
 
     ``records`` may be a lazy iterable; it is read once, one record at a
-    time.  ``bounds`` is a list of group names (the keys of BOUNDS), each
-    checked once in the order first named; None means all of them.
+    time.  ``bounds`` names groups (the keys of BOUNDS; ``list(BOUNDS)``
+    selects every one), each checked once in the order first named.
     Each graph's reports (one per row of the selected groups, in group
     order) are passed to ``sink`` before the next record is read, and then
     dropped: the returned summary keeps only the tallies, so memory does
     not grow with the input.  Each report is tallied with the row that
     judged it: a violation if it does not hold, an anomaly if it is a
     numeric equality without the structural match on a row that has an
-    equality class.
+    equality class.  A report's fields and the summary's are their CSV
+    columns, header included.
     """
-    if bounds is None:
-        selected = list(BOUNDS)
-    else:
-        selected = list(dict.fromkeys(bounds))
-        unknown = [b for b in selected if b not in BOUNDS]
-        if unknown:
-            raise ValueError(f"unknown bound group(s) {unknown}; known: {sorted(BOUNDS)}")
+    selected = list(dict.fromkeys(bounds))
+    unknown = [b for b in selected if b not in BOUNDS]
+    if unknown:
+        raise ValueError(f"unknown bound group(s) {unknown}; known: {sorted(BOUNDS)}")
     rows = [b for name in selected for b in BOUNDS[name]]
     n_graphs = holds = equality = vacuous = violations = anomalies = 0
     for rec in records:
@@ -497,9 +501,8 @@ def run_suite(
             equality += r.equality
             vacuous += r.vacuous
             violations += not r.holds
-            anomalies += r.equality and not r.equality_class_match and bool(b.equality_class)
-        if sink is not None:
-            sink(reports)
+            anomalies += r.equality and not r.class_match and bool(b.equality_class)
+        sink(reports)
     return SuiteSummary(
         graphs=n_graphs,
         reports=n_graphs * len(rows),

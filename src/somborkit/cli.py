@@ -12,7 +12,9 @@ output regardless of --workers.  Exit status is 0 only when no violation,
 anomaly, parse error, or cap breach occurred; a file that cannot be
 opened prints its error and exits 2.
 
-Every CSV line is built by one typed f-string per row kind.  A
+Every CSV row is built by one typed f-string per row kind.  The
+``verify-bounds`` headers and summary are joined from its records,
+``BoundReport`` and ``SuiteSummary``, whose fields are their columns.  A
 ``compute`` or ``verify-bounds`` row is written to a spool, an unnamed
 temporary file in TMPDIR, as its graph is read and checked, one graph at
 a time, so that memory does not grow with the input.  Only once the
@@ -279,33 +281,27 @@ def _input_records(path: str) -> Iterator[tuple[int, GraphRecord]]:
         yield lineno, bounds.GraphRecord(g, text)
 
 
-BOUNDS_HEADER = "bound_id,graph6,lhs,rhs,slack,holds,equality,class_match,vacuous"
-SUMMARY_HEADER = "graphs,reports,holds,equality,vacuous,violations,anomalies"
-
-
 def _report_row(r: BoundReport) -> str:
     """A report's CSV row, newline included: its fields, in order (lhs,
     rhs and slack are floats)."""
     return (
         f"{r.bound_id},{r.graph6},{r.lhs:.12g},{r.rhs:.12g},{r.slack:.12g},{_BOOL[r.holds]},"
-        f"{_BOOL[r.equality]},{_BOOL[r.equality_class_match]},{_BOOL[r.vacuous]}\n"
+        f"{_BOOL[r.equality]},{_BOOL[r.class_match]},{_BOOL[r.vacuous]}\n"
     )
 
 
 def cmd_verify_bounds(args) -> int:
     from . import bounds
 
-    selection = None if args.bounds == ["all"] else args.bounds
+    selection = list(bounds.BOUNDS) if args.bounds == ["all"] else args.bounds
     graphs = (rec for _, rec in _input_records(args.input))
     with _spool() as spool:
-        print(BOUNDS_HEADER, file=spool)
+        print(",".join(bounds.BoundReport._fields), file=spool)
         summary = bounds.run_suite(
             graphs, selection, lambda reports: spool.writelines(map(_report_row, reports))
         )
-        spool.write(  # a blank line, the summary header and its tallies
-            f"\n{SUMMARY_HEADER}\n{summary.graphs},{summary.reports},{summary.holds},"
-            f"{summary.equality},{summary.vacuous},{summary.violations},{summary.anomalies}\n"
-        )
+        # a blank line, the summary header and its tallies, all ints
+        spool.write(f"\n{','.join(summary._fields)}\n{','.join(map(str, summary))}\n")
         _write_spooled(args.output, spool)
     if not summary.ok:
         print(

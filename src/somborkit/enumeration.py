@@ -121,8 +121,10 @@ Generation
     pool at a time, started at the first level that needs it and reused by
     every later level and call of the same size; a call of another size
     first joins its workers, so the process never forks while another
-    pool's threads run.  Interpreter exit, or ``shutdown_pools``, joins the
-    workers of the last one.
+    pool's threads run.  A pool whose worker dies is joined too, before
+    ``BrokenProcessPool`` reaches the caller, and the next call starts a
+    fresh one.  Interpreter exit, or ``shutdown_pools``, joins the workers
+    of the last one.
 
 Extremal search
     ``extremal_search`` profiles every connected class of a cell once and
@@ -463,7 +465,7 @@ def _map_chunks(fn: Callable, n: int, keys: tuple[int, ...], workers: int, *flag
         try:
             return list(_pool(size).map(fn, chunks))
         except BrokenProcessPool:
-            del _pools[size]  # the next call starts a fresh pool
+            shutdown_pools()  # the next call forks a fresh pool beside none of its threads
             raise
     return [fn((n, keys, *flags))]
 

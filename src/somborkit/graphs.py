@@ -71,13 +71,6 @@ class Graph(NamedTuple):
                 rest >>= 1
                 v += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(n={self.n}, m={self.m})"
-
-
-def _from_rows(n: int, rows: tuple[int, ...]) -> Graph:
-    return Graph(n, rows, sum(r.bit_count() for r in rows) // 2)
-
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a graph on n vertices from (u, v) pairs.
@@ -95,7 +88,7 @@ def graph_from_edges(n: int, edges) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _from_rows(n, tuple(rows))
+    return Graph(n, tuple(rows), sum(r.bit_count() for r in rows) // 2)
 
 
 def _reachable(rows: Sequence[int], start: int) -> int:

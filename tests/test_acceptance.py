@@ -129,7 +129,7 @@ def test_criterion_4_upper_bound_equality_census(full_universe):
                 r = check(rec)
                 if not r.holds:
                     violations.append((r.bound_id, r.graph6))
-                if r.equality != expected or (r.equality and not r.equality_class_match):
+                if r.equality != expected or (r.equality and not r.class_match):
                     census_errors.append((r.bound_id, r.graph6))
     ok = not violations and not census_errors
     _emit(
@@ -157,7 +157,7 @@ def test_criterion_5_lower_bounds(connected_universe):
                 r = check(rec)
                 if not r.holds:
                     violations.append((r.bound_id, r.graph6))
-                if r.equality != expected or (r.equality and not r.equality_class_match):
+                if r.equality != expected or (r.equality and not r.class_match):
                     census_errors.append((r.bound_id, r.graph6))
     p3 = check_so_lower_bound(GraphRecord(path(3)))
     spot = (

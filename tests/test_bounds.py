@@ -59,33 +59,33 @@ CHARACTERIZED = {
 
 def anomaly(r):
     """A numeric equality outside the proven class of a characterized row."""
-    return r.equality and not r.equality_class_match and r.bound_id in CHARACTERIZED
+    return r.equality and not r.class_match and r.bound_id in CHARACTERIZED
 
 
 def test_so_shifted_upper():
     r = check_so_shifted_upper(GraphRecord(star_plus_isolated(3, 5)))
-    assert r.holds and r.equality and r.equality_class_match
+    assert r.holds and r.equality and r.class_match
     assert r.rhs == pytest.approx(3 * math.sqrt(20), rel=1e-12)
     r = check_so_shifted_upper(GraphRecord(path(4)))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(2 * math.sqrt(13) + math.sqrt(18), rel=1e-12)
     r = check_so_shifted_upper(GraphRecord(empty_graph(3)))
-    assert r.equality and r.equality_class_match and r.lhs == 0 == r.rhs
+    assert r.equality and r.class_match and r.lhs == 0 == r.rhs
 
 
 def test_so_red_upper():
     r = check_so_red_upper(GraphRecord(star(6)))
-    assert r.equality and r.equality_class_match and r.rhs == 20
+    assert r.equality and r.class_match and r.rhs == 20
     r = check_so_red_upper(GraphRecord(cycle(4)))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(4 * math.sqrt(2), rel=1e-12) and r.rhs == 12
     r = check_so_red_upper(GraphRecord(K2))
-    assert r.equality and r.equality_class_match and r.rhs == 0
+    assert r.equality and r.class_match and r.rhs == 0
 
 
 def test_tree_corollary():
     r = check_tree_corollary(GraphRecord(star(7)))
-    assert r.equality and r.equality_class_match and r.rhs == 30
+    assert r.equality and r.class_match and r.rhs == 30
     r = check_tree_corollary(GraphRecord(path(5)))
     assert r.holds and not r.equality
     assert r.lhs == pytest.approx(2 + 2 * math.sqrt(2), rel=1e-12)
@@ -96,7 +96,7 @@ def test_tree_corollary():
 
 def test_degree_sum_bound():
     r = check_degree_sum_bound(GraphRecord(h_graph(6, 3)))
-    assert r.holds and r.equality and r.equality_class_match
+    assert r.holds and r.equality and r.class_match
     # hub plus two disjoint extra edges: strict
     g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
     r = check_degree_sum_bound(GraphRecord(g))
@@ -104,7 +104,7 @@ def test_degree_sum_bound():
     assert r.lhs == pytest.approx(4 * math.sqrt(20), rel=1e-12)
     assert r.rhs == pytest.approx(math.sqrt(17) + 2 * math.sqrt(20) + 5, rel=1e-12)
     r = check_degree_sum_bound(GraphRecord(star(6)))
-    assert r.equality and r.equality_class_match
+    assert r.equality and r.class_match
     assert check_degree_sum_bound(GraphRecord(path(4))).vacuous  # no dominating vertex
     assert check_degree_sum_bound(GraphRecord(graph_from_edges(1, []))).vacuous
 
@@ -213,10 +213,10 @@ def test_epsilon_identities():
 
 def test_so_lower_bound():
     r = check_so_lower_bound(GraphRecord(path(3)))
-    assert r.equality and r.equality_class_match
+    assert r.equality and r.class_match
     assert r.rhs == pytest.approx(2 * math.sqrt(5), rel=1e-12)
     r = check_so_lower_bound(GraphRecord(cycle(6)))
-    assert r.equality and r.equality_class_match
+    assert r.equality and r.class_match
     assert r.rhs == pytest.approx(12 * math.sqrt(2), rel=1e-12)
     r = check_so_lower_bound(GraphRecord(star(5)))
     assert r.holds and not r.equality
@@ -225,10 +225,10 @@ def test_so_lower_bound():
 
 def test_so_red_lower_bound():
     r = check_so_red_lower_bound(GraphRecord(cycle(6)))
-    assert r.equality and r.equality_class_match
+    assert r.equality and r.class_match
     assert r.rhs == pytest.approx(6 * math.sqrt(2), rel=1e-12)
     r = check_so_red_lower_bound(GraphRecord(path(5)))
-    assert r.equality and r.equality_class_match
+    assert r.equality and r.class_match
     r = check_so_red_lower_bound(GraphRecord(star(4)))
     assert r.holds and not r.equality
 
@@ -239,7 +239,7 @@ def test_lower_bound_anomalies_on_disconnected_equality_cases():
     anomalies rather than silently accepting the equality."""
     p3_k1 = GraphRecord(graph_from_edges(4, [(0, 1), (1, 2)]))
     r = check_so_lower_bound(p3_k1)
-    assert r.equality and not r.equality_class_match and anomaly(r)
+    assert r.equality and not r.class_match and anomaly(r)
     two_c3 = GraphRecord(graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
     r = check_so_lower_bound(two_c3)
     assert r.equality and anomaly(r)
@@ -272,7 +272,7 @@ def test_anomalies_are_exactly_the_disconnected_lower_bound_equality_graphs(full
 def test_zagreb_sandwich():
     by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(cycle(5)))}
     assert all(r.holds for r in by_id.values())
-    assert by_id["zagreb-so-lower"].equality and by_id["zagreb-so-lower"].equality_class_match
+    assert by_id["zagreb-so-lower"].equality and by_id["zagreb-so-lower"].class_match
     assert by_id["zagreb-so-red-lower"].equality
     assert not by_id["zagreb-so-upper"].equality
 
@@ -282,7 +282,7 @@ def test_zagreb_sandwich():
     assert by_id["zagreb-so-upper"].rhs == 12
     # every star edge touches a leaf: the reduced cap is met exactly
     assert by_id["zagreb-so-red-upper"].equality
-    assert by_id["zagreb-so-red-upper"].equality_class_match
+    assert by_id["zagreb-so-red-upper"].class_match
 
     assert all(r.vacuous for r in check_zagreb_sandwich(GraphRecord(empty_graph(3))))
     by_id = {r.bound_id: r for r in check_zagreb_sandwich(GraphRecord(K2))}
@@ -415,11 +415,11 @@ def test_an_edge_meets_each_other_edge_at_most_once():
     assert tight == sum(range(1, 9)) + 6  # a star per m < n, a triangle per n >= 3
 
 
-def suite(graphs, bounds=None):
-    """``run_suite`` on a record per graph, with every report its sink
-    receives collected."""
+def suite(graphs, groups=None):
+    """``run_suite`` on a record per graph, over ``groups`` or every group,
+    with every report its sink receives collected."""
     reports = []
-    summary = run_suite(map(GraphRecord, graphs), bounds, reports.extend)
+    summary = run_suite(map(GraphRecord, graphs), groups or list(bounds.BOUNDS), reports.extend)
     return reports, summary
 
 
@@ -447,7 +447,7 @@ def test_run_suite_empty_and_unknown():
     reports, summary = suite([])
     assert reports == [] and summary.graphs == 0 and summary.ok
     with pytest.raises(ValueError):
-        run_suite([GraphRecord(K2)], ["no-such-bound"])
+        run_suite([GraphRecord(K2)], ["no-such-bound"], lambda reports: None)
 
 
 def test_run_suite_checks_each_selected_group_once():
@@ -513,7 +513,7 @@ def test_bound_sides_are_never_called_on_the_order_zero_graph():
     row = bounds.Bound("probe", undefined, "upper", undefined, undefined)
     r = row.check(GraphRecord(graph_from_edges(0, [])))
     assert (r.bound_id, r.graph6, r.lhs, r.rhs, r.slack) == ("probe", "?", 0.0, 0.0, 0.0)
-    assert r.vacuous and r.holds and not r.equality and not r.equality_class_match
+    assert r.vacuous and r.holds and not r.equality and not r.class_match
 
 
 def test_identity_holds_only_at_zero_slack():
@@ -578,7 +578,9 @@ def test_run_suite_hands_each_graph_to_the_sink_before_reading_the_next():
 
     handed = []
     summary = run_suite(
-        feed(), sink=lambda reports: handed.append((len(read), [r.graph6 for r in reports]))
+        feed(),
+        list(bounds.BOUNDS),
+        lambda reports: handed.append((len(read), [r.graph6 for r in reports])),
     )
     assert handed == [(k + 1, [encode_graph6(g)] * 12) for k, g in enumerate(sample)]
     assert summary.graphs == len(sample) and summary.reports == 12 * len(sample)
@@ -601,7 +603,7 @@ def test_run_suite_memory_does_not_grow_with_its_input():
         records = (GraphRecord(pool[i % len(pool)]) for i in range(count))
         tracemalloc.start()
         try:
-            run_suite(records)
+            run_suite(records, list(bounds.BOUNDS), lambda reports: None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -621,7 +623,7 @@ def test_equality_census_upper_bounds(full_universe):
                 assert r.holds
                 assert r.equality == expected, (r.bound_id, r.graph6)
                 if r.equality:
-                    assert r.equality_class_match
+                    assert r.class_match
 
 
 def test_equality_census_lower_bounds(connected_universe):
@@ -779,7 +781,7 @@ def test_run_suite_matches_per_edge_reference():
                 equality = not vacuous and abs(slack) <= scale
                 holds = vacuous or (slack > scale if strict else slack >= -scale)
             match = equality and in_class
-            flags = (r.holds, r.equality, r.equality_class_match, r.vacuous)
+            flags = (r.holds, r.equality, r.class_match, r.vacuous)
             assert flags == (holds, equality, match, bool(vacuous)), (bound_id, r.graph6)
             live[bound_id] += not vacuous
     assert set(live) == {r.bound_id for r in reports} and all(live.values())

@@ -1,7 +1,10 @@
 import math
+import os
 import random
 import sys
+import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations, permutations
 from math import factorial
 
@@ -724,6 +727,46 @@ def test_a_pool_of_another_size_replaces_the_last(monkeypatch):
     assert list(enumeration._pools) == [3]
     with pytest.raises(RuntimeError):
         pool.submit(int)
+
+
+def _exit_on_key_7(args):
+    """A chunk function whose worker dies on the chunk that holds key 7."""
+    _, chunk = args
+    if 7 in chunk:
+        os._exit(1)
+    return chunk
+
+
+def test_a_broken_pool_is_joined_before_the_next_one_forks(monkeypatch):
+    """When a worker dies, the broken pool is shut down and its threads
+    joined before ``BrokenProcessPool`` reaches the caller, so the next
+    call forks a fresh pool beside no other pool's threads.  The executor
+    records each pool whose shutdown has returned."""
+    joined = []
+
+    class Executor(enumeration.ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            joined.append(self)
+
+    enumeration.shutdown_pools()
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", Executor)
+    monkeypatch.setattr(enumeration, "_pools", {})
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    threads = threading.active_count()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BrokenProcessPool):
+                enumeration._map_chunks(_exit_on_key_7, 9, tuple(range(20)), 2)
+            assert enumeration._pools == {} and len(joined) == 1
+            assert threading.active_count() == threads
+            chunks = enumeration._map_chunks(_exit_on_key_7, 9, tuple(range(8, 28)), 2)
+            assert [k for chunk in chunks for k in chunk] == list(range(8, 28))
+            assert list(enumeration._pools) == [2]
+        assert not [w for w in caught if "multi-threaded" in str(w.message)]
+    finally:
+        enumeration.shutdown_pools()
 
 
 def test_extremal_search_5_2():
